@@ -38,7 +38,8 @@ int main() {
     table.header(std::move(header));
   }
   double best = 1e30;
-  std::string best_label;
+  std::uint64_t best_size = 0;
+  int best_count = 0;
   for (std::uint64_t size : stripe_sizes) {
     std::vector<std::string> row{format_bytes(size)};
     for (int count : stripe_counts) {
@@ -54,19 +55,21 @@ int main() {
       row.push_back(strfmt("%.4f", per_flush));
       if (per_flush < best) {
         best = per_flush;
-        best_label = format_bytes(size) + " / " + std::to_string(count) +
-                     " OST";
+        best_size = size;
+        best_count = count;
       }
     }
     table.row(std::move(row));
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf("Best configuration: %s at %.4f s (paper: 16MiB / 1 OST at "
-              "0.0089 s)\n",
-              best_label.c_str(), best);
+  std::printf("Best configuration: %s / %d OST at %.4f s (paper: 16MiB / 1 "
+              "OST at 0.0089 s)\n",
+              format_bytes(best_size).c_str(), best_count, best);
+  // Every swept stripe size is a whole number of MiB, which `lfs
+  // setstripe -S` spells with an M suffix.
   std::printf(
-      "\nTable III command for the best run:\n  lfs setstripe -c %d -S %s "
+      "\nTable III command for the best run:\n  lfs setstripe -c %d -S %lluM "
       "io_openPMD\n",
-      1, "16M");
+      best_count, static_cast<unsigned long long>(best_size / MiB));
   return 0;
 }

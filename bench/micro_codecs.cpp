@@ -18,6 +18,7 @@
 #include "compress/parallel.hpp"
 #include "compress/reference.hpp"
 #include "compress/shuffle.hpp"
+#include "util/crc32c.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -103,6 +104,23 @@ void BM_StepMetadataEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_StepMetadataEncode);
 
+// CRC32C throughput at a metadata-record size (64 B) and a chunk size
+// (1 MiB): the dispatched kernel (SSE4.2 where available) and the portable
+// slice-by-8 kernel.
+void BM_Crc32c(benchmark::State& state,
+               std::uint32_t (*kernel)(std::span<const std::uint8_t>,
+                                       std::uint32_t)) {
+  const auto data = particle_floats(std::size_t(state.range(0)), 4);
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = kernel(data, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &crc32c)->Arg(64)->Arg(1 << 20);
+BENCHMARK_CAPTURE(BM_Crc32c, slice8, &crc32c_slice8)->Arg(64)->Arg(1 << 20);
+
 // ------------------------------------------------------------ json sweep ----
 
 /// Best-of-N wall time of `fn` in seconds (the box is noisy; the minimum
@@ -187,6 +205,31 @@ int run_json_sweep() {
     }
   }
   doc["sweep"] = std::move(sweep);
+
+  // CRC32C kernels (end-to-end integrity of every chunk and metadata
+  // block): MB/s per buffer size, dispatched vs portable slice-by-8.
+  doc["crc32c"]["hardware"] = crc32c_hardware();
+  JsonArray crc_rows;
+  for (const std::size_t nbytes : {std::size_t(64), std::size_t(1) << 20}) {
+    const auto buf = particle_floats(nbytes, 4);
+    // Enough passes per timing that the 64 B case is not timer noise.
+    const int passes = int(std::max<std::size_t>(1, (64 << 20) / nbytes));
+    for (const auto& [kernel, fn] :
+         {std::pair{"dispatched", &crc32c},
+          std::pair{"slice8", &crc32c_slice8}}) {
+      std::uint32_t crc = 0;
+      const double s = best_of(kReps, [&] {
+        for (int i = 0; i < passes; ++i) crc = fn(buf, crc);
+        benchmark::DoNotOptimize(crc);
+      });
+      Json row{JsonObject{}};
+      row["kernel"] = kernel;
+      row["bytes"] = nbytes;
+      row["MBps"] = mbps(nbytes * std::size_t(passes), s);
+      crc_rows.push_back(std::move(row));
+    }
+  }
+  doc["crc32c"]["sweep"] = std::move(crc_rows);
   // The acceptance headline: blosc pipeline at 4 threads vs the seed
   // single-thread kernel.
   doc["speedup_vs_seed_t4"] = best_t4 / mbps(kBytes, seed_s);

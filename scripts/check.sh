@@ -38,6 +38,11 @@
 #   9. full test suite     default preset, all labels (includes the `perf`
 #                          smoke test; the full codec sweep is
 #                          scripts/bench_report.sh -> BENCH_codecs.json)
+#  10. perfbench smoke     the end-to-end benchmark (perfbench/, declared
+#                          in BENCHMARK.json) at tiny sizes: every workload
+#                          untraced and traced, every metric printed with
+#                          its unit, every correctness check passing
+#                          (builds into .bench_build/perfbench)
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -90,5 +95,8 @@ cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \
 
 step "full test suite"
 ctest --preset default
+
+step "perfbench smoke test (perfbench/smoke_test.py)"
+python3 "$repo_root/perfbench/smoke_test.py"
 
 printf '\ncheck.sh: all gates passed\n'

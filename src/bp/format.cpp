@@ -31,10 +31,29 @@ std::pair<std::string, AttrValue> decode_attr(BinReader& reader) {
   }
 }
 
+/// Bytes encode_step() writes for `record`, so its buffer is sized once.
+std::size_t encoded_step_size(const StepRecord& record) {
+  auto dims_size = [](const Dims& d) { return 4 + 8 * d.size(); };
+  // magic, step, variable count, attribute count, trailing CRC.
+  std::size_t n = 4 + 8 + 4 + 4 + 4;
+  for (const auto& var : record.variables) {
+    n += 4 + var.name.size() + 1 + dims_size(var.shape) + 4;
+    for (const auto& chunk : var.chunks)
+      n += dims_size(chunk.offset) + dims_size(chunk.count) + 4 + 4 + 8 + 8 +
+           8 + 4 + chunk.operator_name.size() + 8 + 8 + 1 + 4 + 1 + 8;
+  }
+  for (const auto& [name, value] : record.attributes) {
+    const auto* s = std::get_if<std::string>(&value);
+    n += 4 + name.size() + 1 + (s ? 4 + s->size() : 8);
+  }
+  return n;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_step(const StepRecord& record) {
   BinWriter writer;
+  writer.reserve(encoded_step_size(record));
   writer.u32(kMdMagicV6);
   writer.u64(record.step);
   writer.u32(std::uint32_t(record.variables.size()));
@@ -174,12 +193,16 @@ std::vector<IndexEntry> decode_index(std::span<const std::uint8_t> data) {
   return index;
 }
 
-std::vector<std::uint8_t> encode_footer(const std::vector<StepRecord>& steps) {
+std::vector<std::uint8_t> encode_footer(
+    const std::vector<std::vector<std::uint8_t>>& steps) {
+  std::size_t total = 8;
+  for (const auto& block : steps) total += 8 + block.size();
   BinWriter writer;
+  writer.reserve(total);
   writer.u32(kFtrMagic);
   writer.u32(std::uint32_t(steps.size()));
-  for (const auto& record : steps) {
-    const std::vector<std::uint8_t> md = encode_step(record);
+  for (const auto& block : steps) {
+    const std::vector<std::uint8_t>& md = block;
     writer.u64(md.size());
     writer.bytes(md);
   }

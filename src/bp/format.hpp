@@ -56,8 +56,11 @@ std::vector<IndexEntry> decode_index(std::span<const std::uint8_t> data);
 /// order (repeated step ids keep their write order so "latest record wins"
 /// matches the scan path).  The footer body is
 ///   u32 magic | u32 nsteps | { u64 length, encode_step() bytes } * nsteps
-/// and is itself protected by the CRC32C in the trailer.
-std::vector<std::uint8_t> encode_footer(const std::vector<StepRecord>& steps);
+/// and is itself protected by the CRC32C in the trailer.  encode_footer
+/// takes the steps' already-encoded md.0 blocks (the writer encodes each
+/// step once, at drain, and concatenates the blocks at close).
+std::vector<std::uint8_t> encode_footer(
+    const std::vector<std::vector<std::uint8_t>>& steps);
 std::vector<StepRecord> decode_footer(std::span<const std::uint8_t> data);
 
 }  // namespace bitio::bp

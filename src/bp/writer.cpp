@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <numeric>
 
 #include "compress/parallel.hpp"
@@ -16,8 +17,9 @@ namespace bitio::bp {
 
 namespace {
 
-/// Modelled CRC32C throughput for the per-chunk checksum charge (software
-/// slice-by-one on one core; same order as the memcopy bandwidth).
+/// Modelled CRC32C throughput for the per-chunk checksum charge (one core;
+/// same order as the memcopy bandwidth).  A model input of the simulated
+/// clock: it does not follow the kernel the host's crc32c() runs.
 constexpr double kCrcBandwidthBps = 12e9;
 
 /// The no-operator marshalling copy lands in a recycled pool buffer that is
@@ -324,12 +326,14 @@ void Writer::begin_step(std::uint64_t step) {
   current_step_ = step;
   attributes_.clear();
   step_vars_.clear();
+  step_var_ids_.clear();
   step_kind_ = 0;
 }
 
-void Writer::validate_put(int rank, const std::string& name, Datatype dtype,
-                          const Dims& shape, const Dims& offset,
-                          const Dims& count) {
+std::uint32_t Writer::validate_put(int rank, const std::string& name,
+                                   Datatype dtype, const Dims& shape,
+                                   const Dims& offset, const Dims& count,
+                                   bool synthetic) {
   if (!step_open_) throw UsageError("bp::Writer: put outside a step");
   if (rank < 0 || rank >= nranks_)
     throw UsageError("bp::Writer: rank out of range");
@@ -341,24 +345,34 @@ void Writer::validate_put(int rank, const std::string& name, Datatype dtype,
       throw UsageError("bp::Writer: chunk of '" + name +
                        "' exceeds global shape");
   }
-  // Shape/dtype agreement with earlier puts of the same variable this step.
-  auto [it, fresh] = step_vars_.try_emplace(name, dtype, shape);
-  if (!fresh && (it->second.first != dtype || it->second.second != shape))
-    throw UsageError("bp::Writer: inconsistent shape/dtype for '" + name +
-                     "'");
+  // Intern the name; later puts must agree with the first one's
+  // shape/dtype.
+  std::uint32_t id;
+  if (const auto it = step_var_ids_.find(name); it != step_var_ids_.end()) {
+    id = it->second;
+    const StepVar& var = step_vars_[id];
+    if (var.dtype != dtype || var.shape != shape)
+      throw UsageError("bp::Writer: inconsistent shape/dtype for '" + name +
+                       "'");
+  } else {
+    id = std::uint32_t(step_vars_.size());
+    step_vars_.push_back({name, dtype, shape});
+    step_var_ids_.emplace(name, id);
+  }
+  const int kind = synthetic ? 2 : 1;
+  if (step_kind_ != 0 && step_kind_ != kind)
+    throw UsageError("bp::Writer: cannot mix real and synthetic puts");
+  step_kind_ = kind;
+  ++step_vars_[id].chunks;
+  return id;
 }
 
 void Writer::put(int rank, const std::string& name, const Dims& shape,
                  const ChunkView& view) {
   util::MutexLock lock(mutex_);
-  validate_put(rank, name, view.dtype(), shape, view.offset(), view.count());
-  if (step_kind_ == 2)
-    throw UsageError("bp::Writer: cannot mix real and synthetic puts");
-  step_kind_ = 1;
   PendingChunk chunk;
-  chunk.var = name;
-  chunk.dtype = view.dtype();
-  chunk.shape = shape;
+  chunk.var = validate_put(rank, name, view.dtype(), shape, view.offset(),
+                           view.count(), /*synthetic=*/false);
   chunk.offset = view.offset();
   chunk.count = view.count();
   // Stage the payload in a recycled pool buffer: steady-state puts do no
@@ -373,14 +387,9 @@ void Writer::put(int rank, const std::string& name, const Dims& shape,
 void Writer::put_borrowed(int rank, const std::string& name,
                           const Dims& shape, const ChunkView& view) {
   util::MutexLock lock(mutex_);
-  validate_put(rank, name, view.dtype(), shape, view.offset(), view.count());
-  if (step_kind_ == 2)
-    throw UsageError("bp::Writer: cannot mix real and synthetic puts");
-  step_kind_ = 1;
   PendingChunk chunk;
-  chunk.var = name;
-  chunk.dtype = view.dtype();
-  chunk.shape = shape;
+  chunk.var = validate_put(rank, name, view.dtype(), shape, view.offset(),
+                           view.count(), /*synthetic=*/false);
   chunk.offset = view.offset();
   chunk.count = view.count();
   // No staging: the drain marshals straight from the caller's bytes (which
@@ -393,14 +402,9 @@ void Writer::put_synthetic(int rank, const std::string& name, Datatype dtype,
                            const Dims& shape, const Dims& offset,
                            const Dims& count) {
   util::MutexLock lock(mutex_);
-  validate_put(rank, name, dtype, shape, offset, count);
-  if (step_kind_ == 1)
-    throw UsageError("bp::Writer: cannot mix real and synthetic puts");
-  step_kind_ = 2;
   PendingChunk chunk;
-  chunk.var = name;
-  chunk.dtype = dtype;
-  chunk.shape = shape;
+  chunk.var = validate_put(rank, name, dtype, shape, offset, count,
+                           /*synthetic=*/true);
   chunk.offset = offset;
   chunk.count = count;
   chunk.synthetic = true;
@@ -414,9 +418,10 @@ void Writer::add_attribute(const std::string& name, AttrValue value) {
   attributes_.emplace_back(name, std::move(value));
 }
 
-void Writer::compute_stats(const PendingChunk& chunk, ChunkRecord& meta) {
+void Writer::compute_stats(const PendingChunk& chunk, Datatype dtype,
+                           ChunkRecord& meta) {
   const std::span<const std::uint8_t> payload = chunk.payload();
-  switch (chunk.dtype) {
+  switch (dtype) {
     case Datatype::uint8:
       minmax<std::uint8_t>(payload, meta.stat_min, meta.stat_max);
       break;
@@ -445,6 +450,7 @@ void Writer::end_step() {
     job.kind = step_kind_;
     job.attributes = std::move(attributes_);
     attributes_.clear();
+    job.vars = std::move(step_vars_);  // begin_step() resets the table
     job.chunks = std::move(pending_);
     pending_.assign(std::size_t(nranks_), {});
     ++steps_written_;
@@ -472,9 +478,10 @@ void Writer::drain_step(const StepJob& job) {
   record.step = job.step;
   record.attributes = job.attributes;
 
-  // Variable table in first-seen order.
-  std::vector<std::string> var_order;
-  std::map<std::string, std::size_t> var_index;
+  // Variable table in first-seen rank-major order: var_slot[id] is the
+  // record.variables index of step-local variable `id`, once seen.
+  constexpr std::size_t kUnseen = ~std::size_t(0);
+  std::vector<std::size_t> var_slot(job.vars.size(), kUnseen);
 
   // Aggregation buffers (real payloads) and size counters (synthetic),
   // one per subfile.  Real steps draw the buffers from the pool — after
@@ -526,18 +533,18 @@ void Writer::drain_step(const StepJob& job) {
     double rank_crc_s = 0.0;
     std::uint64_t rank_stored = 0;  // this rank's marshalled bytes this step
     for (const auto& chunk : chunks) {
-      auto [it, fresh] = var_index.try_emplace(chunk.var, var_order.size());
-      if (fresh) {
-        var_order.push_back(chunk.var);
-        record.variables.push_back(
-            {chunk.var, chunk.dtype, chunk.shape, {}});
+      const StepVar& info = job.vars[chunk.var];
+      std::size_t& slot = var_slot[chunk.var];
+      if (slot == kUnseen) {
+        slot = record.variables.size();
+        record.variables.push_back({info.name, info.dtype, info.shape, {}});
+        record.variables.back().chunks.reserve(info.chunks);
       }
-      VarRecord& var = record.variables[it->second];
+      VarRecord& var = record.variables[slot];
 
       const std::uint64_t raw_bytes =
-          chunk.synthetic
-              ? element_count(chunk.count) * dtype_size(chunk.dtype)
-              : chunk.payload().size();
+          chunk.synthetic ? element_count(chunk.count) * dtype_size(info.dtype)
+                          : chunk.payload().size();
       if (chunk.is_borrowed()) ++zero_copy_chunks_total_;
       std::uint64_t stored_size = 0;
       std::string operator_name;
@@ -603,7 +610,7 @@ void Writer::drain_step(const StepJob& job) {
       ChunkRecord meta;
       meta.offset = chunk.offset;
       meta.count = chunk.count;
-      if (!chunk.synthetic) compute_stats(chunk, meta);
+      if (!chunk.synthetic) compute_stats(chunk, info.dtype, meta);
       meta.writer_rank = std::uint32_t(rank);
       meta.subfile = std::uint32_t(a);
       meta.file_offset =
@@ -756,8 +763,13 @@ void Writer::drain_step(const StepJob& job) {
   // metadata lane when async).
   touch_heartbeat();
   fsim::FsClient root(fs_, 0, async ? kMetaLane : 0);
-  const std::vector<std::uint8_t> md = encode_step(record);
-  IndexEntry entry{job.step, md_offset_, md.size(), crc32c(md), true};
+  std::vector<std::uint8_t> md = encode_step(record);
+  // The block ends in the CRC32C of everything before it, so the index
+  // entry's CRC of the whole block continues from that stored value over
+  // the last four bytes instead of reading the block again.
+  const auto md_tail = std::span<const std::uint8_t>(md).last(4);
+  IndexEntry entry{job.step, md_offset_, md.size(),
+                   crc32c(md_tail, BinReader(md_tail).u32()), true};
   BinWriter idx_bytes;
   idx_bytes.u64(entry.step);
   idx_bytes.u64(entry.md_offset);
@@ -789,9 +801,8 @@ void Writer::drain_step(const StepJob& job) {
   }
   md_offset_ += md.size();
   index_.push_back(entry);
-  // Retained for the footer index close() appends; the encoded bytes above
-  // are final, so the record can be moved out.
-  footer_steps_.push_back(std::move(record));
+  // The footer index close() appends repeats this exact block.
+  footer_steps_.push_back(std::move(md));
 }
 
 double Writer::compress_cpu_seconds(std::uint64_t raw_bytes) const {
@@ -1021,6 +1032,8 @@ void Writer::close() {
   // below md_offset_, so the v5 scan path is unaffected by the tail.
   {
     const std::vector<std::uint8_t> footer = encode_footer(footer_steps_);
+    // The blocks now live in `footer`; free them before the store copies it.
+    footer_steps_ = {};
     BinWriter trailer;
     trailer.u64(md_offset_);
     trailer.u64(footer.size());

@@ -40,10 +40,10 @@
 #include <atomic>
 #include <deque>
 #include <exception>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "bp/format.hpp"
 #include "bp/types.hpp"
@@ -286,10 +286,19 @@ public:
   WatchdogStats watchdog_stats() const;
 
 private:
-  struct PendingChunk {
-    std::string var;
+  /// One variable of the open step, interned at its first put: later
+  /// puts carry its id (the index into the step's variable table) instead
+  /// of a name string and a shape copy.
+  struct StepVar {
+    std::string name;
     Datatype dtype;
-    Dims shape, offset, count;
+    Dims shape;
+    std::size_t chunks = 0;  // puts so far (sizes the drain's chunk list)
+  };
+
+  struct PendingChunk {
+    std::uint32_t var = 0;  // step-local variable id (StepJob::vars index)
+    Dims offset, count;
     std::vector<std::uint8_t> data;  // empty for synthetic/borrowed chunks
     // Caller-owned bytes of a put_borrowed() chunk (valid until the step's
     // drain completes, per the deferred-Put contract).
@@ -309,6 +318,7 @@ private:
     std::uint64_t step = 0;
     int kind = 0;  // see step_kind_
     std::vector<std::pair<std::string, AttrValue>> attributes;
+    std::vector<StepVar> vars;  // indexed by PendingChunk::var
     std::vector<std::vector<PendingChunk>> chunks;  // per rank
   };
 
@@ -333,15 +343,20 @@ private:
     std::uint64_t zero_copy_chunks = 0;
   };
 
-  void validate_put(int rank, const std::string& name, Datatype dtype,
-                    const Dims& shape, const Dims& offset, const Dims& count)
-      REQUIRES(mutex_);
+  /// Check one put against the open step and intern its variable; returns
+  /// the step-local variable id.  Also enforces that a step is all-real or
+  /// all-synthetic.
+  std::uint32_t validate_put(int rank, const std::string& name,
+                             Datatype dtype, const Dims& shape,
+                             const Dims& offset, const Dims& count,
+                             bool synthetic) REQUIRES(mutex_);
   /// Resolve the configured topology preset (with the engine's
   /// ranks_per_node and any numa/nic overrides applied) into the writer's
   /// rank placement.  Returns a trivial single-node mapper for inputs the
   /// constructor body is about to reject anyway.
   static topo::Mapper build_mapper(const EngineConfig& config, int nranks);
-  static void compute_stats(const PendingChunk& chunk, ChunkRecord& meta);
+  static void compute_stats(const PendingChunk& chunk, Datatype dtype,
+                            ChunkRecord& meta);
   int leader_of(int aggregator) const;
   void drain_step(const StepJob& job);
   void drain_job_with_retries(const StepJob& job) EXCLUDES(drain_mutex_);
@@ -390,8 +405,10 @@ private:
   std::vector<std::vector<PendingChunk>> pending_ GUARDED_BY(mutex_);
   std::vector<std::pair<std::string, AttrValue>> attributes_
       GUARDED_BY(mutex_);
-  // Shape/dtype seen per variable within the open step (put validation).
-  std::map<std::string, std::pair<Datatype, Dims>> step_vars_
+  // The open step's variables in intern order, and the name -> id lookup
+  // (shape/dtype agreement is checked against the first put).
+  std::vector<StepVar> step_vars_ GUARDED_BY(mutex_);
+  std::unordered_map<std::string, std::uint32_t> step_var_ids_
       GUARDED_BY(mutex_);
 
   // Open descriptors, one per subfile plus metadata files (rank-0 client).
@@ -407,9 +424,11 @@ private:
   std::uint64_t md_offset_ = 0;
   int idx_fd_ = -1;
   std::vector<IndexEntry> index_;
-  // Every drained step record, retained for the md.0 footer index close()
-  // appends (format v6 random-access open).  Drain-side state like index_.
-  std::vector<StepRecord> footer_steps_;
+  // Every drained step's encoded md.0 block, retained for the footer index
+  // close() appends (format v6 random-access open): each step is encoded
+  // once, at drain, and the footer concatenates the blocks.  Drain-side
+  // state like index_.
+  std::vector<std::vector<std::uint8_t>> footer_steps_;
 
   // profiling.json accumulators (microseconds, like ADIOS2's profiler).
   // With async_write, marshalling/compression time lands in drain_us_total_

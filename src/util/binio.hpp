@@ -2,6 +2,7 @@
 // Little-endian binary serialization helpers shared by the container
 // formats (miniBP metadata, darshan logs, PIC checkpoints).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -12,20 +13,28 @@
 
 namespace bitio {
 
-/// Appending writer over a byte vector.
+/// Appending writer over a byte vector.  Fields are stored at a write
+/// cursor into storage that grows geometrically ahead of it, so a scalar
+/// field is one capacity check and one store; reserve() the encoded size
+/// up front and a whole record serializes without reallocating.
 class BinWriter {
 public:
-  std::vector<std::uint8_t>& buffer() { return out_; }
-  const std::vector<std::uint8_t>& buffer() const { return out_; }
-  std::vector<std::uint8_t> take() { return std::move(out_); }
+  /// The bytes written so far (valid until the next write).
+  std::span<const std::uint8_t> buffer() const { return {out_.data(), size_}; }
+  std::vector<std::uint8_t> take() {
+    out_.resize(size_);
+    size_ = 0;
+    return std::move(out_);
+  }
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(std::uint8_t(v >> (8 * i)));
+  /// Room for at least `bytes` bytes in total (like vector::reserve).
+  void reserve(std::size_t bytes) {
+    if (bytes > out_.size()) out_.resize(bytes);
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(std::uint8_t(v >> (8 * i)));
-  }
+
+  void u8(std::uint8_t v) { *grow(1) = v; }
+  void u32(std::uint32_t v) { le<4>(v); }
+  void u64(std::uint64_t v) { le<8>(v); }
   void f64(double d) {
     std::uint64_t bits;
     std::memcpy(&bits, &d, 8);
@@ -33,10 +42,10 @@ public:
   }
   void str(const std::string& s) {
     u32(std::uint32_t(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    if (!s.empty()) std::memcpy(grow(s.size()), s.data(), s.size());
   }
   void bytes(std::span<const std::uint8_t> data) {
-    out_.insert(out_.end(), data.begin(), data.end());
+    if (!data.empty()) std::memcpy(grow(data.size()), data.data(), data.size());
   }
   void dims(const std::vector<std::uint64_t>& d) {
     u32(std::uint32_t(d.size()));
@@ -44,7 +53,27 @@ public:
   }
 
 private:
-  std::vector<std::uint8_t> out_;
+  /// Advance the cursor by `n` bytes and return where they start.
+  std::uint8_t* grow(std::size_t n) {
+    if (out_.size() - size_ < n) extend(n);
+    std::uint8_t* at = out_.data() + size_;
+    size_ += n;
+    return at;
+  }
+  /// Slow path of grow(): at least double the storage.
+  void extend(std::size_t n) {
+    out_.resize(std::max({size_ + n, 2 * out_.size(), std::size_t(64)}));
+  }
+  /// The low `N` bytes of `v`, little-endian, in one store.
+  template <std::size_t N>
+  void le(std::uint64_t v) {
+    std::uint8_t raw[N];
+    for (std::size_t i = 0; i < N; ++i) raw[i] = std::uint8_t(v >> (8 * i));
+    std::memcpy(grow(N), raw, N);
+  }
+
+  std::vector<std::uint8_t> out_;  // out_.size() >= size_
+  std::size_t size_ = 0;           // bytes written
 };
 
 /// Bounds-checked reader over a byte span.  Throws FormatError past end.

@@ -80,5 +80,34 @@ TEST(BinIo, PositionTracking) {
   EXPECT_FALSE(reader.done());
 }
 
+TEST(BinIo, GrowsPastReserveAndTakesExactBytes) {
+  // A reserve that is too small, a view taken mid-record, and writes after
+  // it: the bytes stay in order and take() returns exactly what was
+  // written, little-endian.
+  BinWriter writer;
+  writer.reserve(3);
+  writer.u32(0x04030201);
+  EXPECT_EQ(writer.buffer().size(), 4u);
+  writer.str(std::string(100, 'x'));
+  const std::vector<std::uint8_t> tail{7, 8, 9};
+  writer.bytes(tail);
+  writer.u8(0xAA);
+  const auto view = writer.buffer();
+  ASSERT_EQ(view.size(), 4u + 4u + 100u + 3u + 1u);
+  EXPECT_EQ(view[0], 1);
+  EXPECT_EQ(view[3], 4);
+  writer.u64(0x1122334455667788ull);
+  const std::vector<std::uint8_t> bytes = writer.take();
+  ASSERT_EQ(bytes.size(), 112u + 8u);
+  EXPECT_EQ(bytes[108], 7);
+  EXPECT_EQ(bytes[110], 9);
+  EXPECT_EQ(bytes[111], 0xAA);
+  EXPECT_EQ(bytes[112], 0x88);
+  EXPECT_EQ(bytes[119], 0x11);
+  BinReader reader(bytes);
+  EXPECT_EQ(reader.u32(), 0x04030201u);
+  EXPECT_EQ(reader.str(), std::string(100, 'x'));
+}
+
 }  // namespace
 }  // namespace bitio

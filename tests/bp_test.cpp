@@ -6,8 +6,10 @@
 
 #include "bp/reader.hpp"
 #include "bp/writer.hpp"
+#include "fsim/fault_plan.hpp"
 #include "fsim/storage_model.hpp"
 #include "util/binio.hpp"
+#include "util/crc32c.hpp"
 #include "fsim/system_profiles.hpp"
 #include "smpi/comm.hpp"
 #include "util/error.hpp"
@@ -580,6 +582,186 @@ TEST(BpFooter, RandomAccessChunkAndSliceReads) {
   EXPECT_EQ(four, iota_floats(4, 106.f));
   EXPECT_THROW(reader.read_slice(1, "density", 10, 8), UsageError);
   EXPECT_THROW(reader.read_chunk(1, "ghost", 0), UsageError);
+}
+
+// ------------------------------------------- encode-once metadata path ---
+//
+// The writer encodes each step's md.0 block once, at drain, and the footer
+// close() appends concatenates those same blocks.  These tests pin that:
+// every footer block is byte-identical to the md.0 block its md.idx entry
+// points at, on every put flavour and drain mode, and across a retried
+// drain.  The interning tests pin put validation and the first-seen
+// rank-major variable order after names became step-local ids.
+
+namespace {
+
+/// Writes three steps from three ranks (two variables and an attribute per
+/// step) with real or synthetic puts, then closes.
+void write_encode_once_fixture(Writer& writer, bool synthetic) {
+  for (std::uint64_t step = 0; step < 3; ++step) {
+    writer.begin_step(step);
+    for (const char* name : {"e/position/x", "e/weighting"}) {
+      for (int r = 0; r < 3; ++r) {
+        const std::uint64_t at = std::uint64_t(r) * 4;
+        if (synthetic) {
+          writer.put_synthetic(r, name, Datatype::float32, {12}, {at}, {4});
+        } else {
+          const auto local = iota_floats(4, float(step * 100 + at));
+          writer.put<float>(r, name, {12}, {at}, {4}, local);
+        }
+      }
+    }
+    writer.add_attribute("time", AttrValue(double(step) * 0.5));
+    writer.end_step();
+  }
+  writer.close();
+}
+
+/// Every footer block equals the md.0 block its md.idx entry addresses,
+/// byte for byte, and re-encodes to itself.
+void expect_footer_blocks_match_md0(fsim::SharedFs& fs,
+                                    const std::string& path,
+                                    std::size_t expected_steps) {
+  const std::vector<std::uint8_t>& md = fs.store().file(path + "/md.0").data;
+  const std::vector<IndexEntry> index =
+      decode_index(fs.store().file(path + "/md.idx").data);
+  ASSERT_EQ(index.size(), expected_steps);
+  ASSERT_GE(md.size(), std::size_t(kFtrTrailerBytes));
+  const std::span<const std::uint8_t> md0(md);
+
+  BinReader trailer(md0.last(kFtrTrailerBytes));
+  const std::uint64_t footer_offset = trailer.u64();
+  const std::uint64_t footer_length = trailer.u64();
+  const std::uint32_t footer_crc = trailer.u32();
+  ASSERT_EQ(trailer.u32(), kFtrMagic);
+  ASSERT_EQ(footer_offset + footer_length + kFtrTrailerBytes, md.size());
+  const auto footer = md0.subspan(std::size_t(footer_offset),
+                                  std::size_t(footer_length));
+  EXPECT_EQ(crc32c(footer), footer_crc);
+
+  BinReader body(footer);
+  ASSERT_EQ(body.u32(), kFtrMagic);
+  ASSERT_EQ(body.u32(), expected_steps);
+  for (const IndexEntry& entry : index) {
+    SCOPED_TRACE("step " + std::to_string(entry.step));
+    const std::uint64_t length = body.u64();
+    const auto block = body.bytes(std::size_t(length));
+    ASSERT_EQ(entry.md_length, length);
+    ASSERT_LE(entry.md_offset + entry.md_length, footer_offset);
+    const auto in_md0 = md0.subspan(std::size_t(entry.md_offset),
+                                    std::size_t(entry.md_length));
+    EXPECT_TRUE(std::equal(block.begin(), block.end(), in_md0.begin()));
+    EXPECT_EQ(entry.md_crc, crc32c(block));
+    const std::vector<std::uint8_t> bytes(block.begin(), block.end());
+    EXPECT_EQ(encode_step(decode_step(block)), bytes);
+  }
+  EXPECT_TRUE(body.done());
+}
+
+}  // namespace
+
+TEST(BpEncodeOnce, FooterBlocksEqualMd0BlocksInEveryMode) {
+  for (const bool synthetic : {false, true}) {
+    for (const bool async : {false, true}) {
+      SCOPED_TRACE(std::string(synthetic ? "synthetic" : "real") + " / " +
+                   (async ? "async" : "sync"));
+      fsim::SharedFs fs(8);
+      EngineConfig config = small_config(2);
+      config.async_write = async;
+      Writer writer = Writer::open(fs, "eo.bp4", config, 3);
+      write_encode_once_fixture(writer, synthetic);
+      expect_footer_blocks_match_md0(fs, "eo.bp4", 3);
+      Reader reader = Reader::open(fs, 0, "eo.bp4");
+      EXPECT_TRUE(reader.used_footer_index());
+      EXPECT_EQ(reader.variables(2),
+                (std::vector<std::string>{"e/position/x", "e/weighting"}));
+    }
+  }
+}
+
+TEST(BpEncodeOnce, RetriedDrainKeepsOneFooterBlockPerStep) {
+  // The second step's md.0 append fails once: the drain attempt rolls back
+  // (offsets, index and footer blocks) and the retry lands the step.  The
+  // footer must list each step exactly once, identical to md.0.
+  fsim::SharedFs fs(8);
+  fs.set_fault_plan(fsim::FaultPlan(
+      9, {{fsim::FaultKind::eio, "md.0", 2, 0.0, 1, -1, 0}}));
+  EngineConfig config = small_config(2);
+  config.async_write = true;
+  config.max_drain_retries = 2;
+  Writer writer = Writer::open(fs, "retry.bp4", config, 3);
+  write_encode_once_fixture(writer, /*synthetic=*/false);
+  EXPECT_EQ(writer.watchdog_stats().retries, 1u);
+  EXPECT_EQ(writer.watchdog_stats().steps_abandoned, 0u);
+  expect_footer_blocks_match_md0(fs, "retry.bp4", 3);
+  Reader reader = Reader::open(fs, 0, "retry.bp4");
+  EXPECT_TRUE(reader.used_footer_index());
+  EXPECT_EQ(reader.read_as<float>(1, "e/weighting"), iota_floats(12, 100.f));
+  EXPECT_TRUE(reader.all_ok(reader.verify()));
+}
+
+TEST(BpInterning, InconsistentShapeOrDtypeStillThrows) {
+  fsim::SharedFs fs(8);
+  Writer writer = Writer::open(fs, "i.bp4", small_config(), 3);
+  const auto v = iota_floats(4);
+  const std::vector<double> d(4, 1.0);
+  writer.begin_step(0);
+  writer.put<float>(0, "x", {12}, {0}, {4}, v);
+  // Same name, another rank: shape and dtype are checked against the
+  // interned first put.
+  EXPECT_THROW(writer.put<float>(1, "x", {16}, {4}, {4}, v), UsageError);
+  EXPECT_THROW(writer.put<double>(1, "x", {12}, {4}, {4}, d), UsageError);
+  writer.put<float>(1, "x", {12}, {4}, {4}, v);
+  writer.end_step();
+
+  // The table is step-local: the next step may give "x" a new shape, and
+  // synthetic puts are checked the same way.
+  writer.begin_step(1);
+  writer.put_synthetic(0, "x", Datatype::float64, {8}, {0}, {4});
+  EXPECT_THROW(writer.put_synthetic(1, "x", Datatype::float32, {8}, {4}, {4}),
+               UsageError);
+  EXPECT_THROW(writer.put_synthetic(1, "x", Datatype::float64, {9}, {4}, {4}),
+               UsageError);
+  writer.put_synthetic(1, "x", Datatype::float64, {8}, {4}, {4});
+  writer.end_step();
+  writer.close();
+
+  Reader reader = Reader::open(fs, 0, "i.bp4");
+  EXPECT_EQ(reader.step(0).variables.at(0).shape, Dims{12});
+  EXPECT_EQ(reader.step(0).variables.at(0).chunks.size(), 2u);
+  EXPECT_EQ(reader.step(1).variables.at(0).shape, Dims{8});
+  EXPECT_EQ(reader.step(1).variables.at(0).dtype, Datatype::float64);
+}
+
+TEST(BpInterning, VariableOrderIsRankMajorFirstSeen) {
+  // Puts arrive zeta (rank 2), beta (rank 1), alpha (rank 0), so names are
+  // interned in that order; the step record still lists variables in the
+  // order a rank-major walk first meets them: rank 0's alpha, then rank
+  // 1's beta and zeta.
+  fsim::SharedFs fs(8);
+  Writer writer = Writer::open(fs, "o.bp4", small_config(), 3);
+  const auto v = iota_floats(4);
+  writer.begin_step(0);
+  writer.put<float>(2, "zeta", {12}, {8}, {4}, v);
+  writer.put<float>(1, "beta", {12}, {4}, {4}, v);
+  writer.put<float>(0, "alpha", {12}, {0}, {4}, v);
+  writer.put<float>(1, "zeta", {12}, {4}, {4}, v);
+  writer.put<float>(2, "beta", {12}, {8}, {4}, v);
+  writer.end_step();
+  writer.close();
+
+  Reader reader = Reader::open(fs, 0, "o.bp4");
+  EXPECT_EQ(reader.variables(0),
+            (std::vector<std::string>{"alpha", "beta", "zeta"}));
+  const StepRecord& record = reader.step(0);
+  ASSERT_EQ(record.variables.size(), 3u);
+  // Chunks within a variable are rank-major too.
+  ASSERT_EQ(record.variables[1].chunks.size(), 2u);
+  EXPECT_EQ(record.variables[1].chunks[0].writer_rank, 1u);
+  EXPECT_EQ(record.variables[1].chunks[1].writer_rank, 2u);
+  ASSERT_EQ(record.variables[2].chunks.size(), 2u);
+  EXPECT_EQ(record.variables[2].chunks[0].writer_rank, 1u);
+  EXPECT_EQ(record.variables[2].chunks[1].writer_rank, 2u);
 }
 
 // -------------------------------------------------------------- hardening ---
