@@ -57,7 +57,7 @@ OverlapRun run_window(const fsim::SystemProfile& profile, int nodes,
       // rank's critical path.  The async drain overlaps with exactly this.
       for (int r = 0; r < ranks; ++r)
         fsim::FsClient(fs, fsim::ClientId(r))
-            .charge_cpu(compute_s_per_dump, "compute");
+            .charge_cpu(compute_s_per_dump, fsim::OpTag::compute);
     }
     writer->close();
   }

@@ -35,10 +35,15 @@
 #                          the per-op path at 64+ ranks and the coalesced
 #                          path to reach >= 2x (the committed report is
 #                          scripts/bench_report.sh -> BENCH_iopath.json)
-#   9. full test suite     default preset, all labels (includes the `perf`
+#   9. fsim suite          object store + path index, posix trace, replay
+#                          (including the bit-for-bit differential against
+#                          the frozen reference replay) and Darshan capture
+#                          (ctest -L fsim), then the same label under
+#                          ASan+UBSan (ctest --preset san-fsim)
+#  10. full test suite     default preset, all labels (includes the `perf`
 #                          smoke test; the full codec sweep is
 #                          scripts/bench_report.sh -> BENCH_codecs.json)
-#  10. perfbench smoke     the end-to-end benchmark (perfbench/, declared
+#  11. perfbench smoke     the end-to-end benchmark (perfbench/, declared
 #                          in BENCHMARK.json) at tiny sizes: every workload
 #                          untraced and traced, every metric printed with
 #                          its unit, every correctness check passing
@@ -92,6 +97,12 @@ step "batched I/O path sweep gate (iopath_sweep)"
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \
   --target iopath_sweep
 "$repo_root/build/bench/iopath_sweep" >/dev/null
+
+step "storage simulator suite (ctest -L fsim)"
+ctest --preset fsim
+
+step "storage simulator suite under ASan+UBSan (ctest --preset san-fsim)"
+ctest --preset san-fsim
 
 step "full test suite"
 ctest --preset default

@@ -204,7 +204,7 @@ std::vector<std::uint8_t> Reader::fetch_chunk(fsim::FsClient& io,
     auto codec = cz::make_codec(chunk.operator_name, elem);
     raw = cz::decompress_frame(stored);
     io.charge_cpu(double(raw.size()) / codec->decompress_speed_bps(),
-                  "decompress");
+                  fsim::OpTag::decompress);
   }
   return raw;
 }

@@ -409,8 +409,9 @@ void StreamEngine::put(int rank, const std::string& name, const Dims& shape,
   // Charge the marshalling cost to the putting rank's critical path, same
   // accounting as the synchronous file engines.
   fsim::FsClient client(fs_, fsim::ClientId(rank));
-  if (compress_s > 0.0) client.charge_cpu(compress_s, "compress");
-  client.charge_cpu(double(stored.size()) / kCrcBandwidthBps, "crc32c");
+  if (compress_s > 0.0) client.charge_cpu(compress_s, fsim::OpTag::compress);
+  client.charge_cpu(double(stored.size()) / kCrcBandwidthBps,
+                    fsim::OpTag::crc32c);
 
   for (auto& var : pending_) {
     if (var.record.name != name) continue;
@@ -585,7 +586,7 @@ std::vector<std::uint8_t> StreamConsumer::get(const std::string& name) {
     if (chunk.operator_name.empty() || chunk.raw_bytes == 0) continue;
     auto codec = cz::make_codec(chunk.operator_name, dtype_size(var->dtype));
     io.charge_cpu(double(chunk.raw_bytes) / codec->decompress_speed_bps(),
-                  "decompress");
+                  fsim::OpTag::decompress);
   }
   return out;
 }

@@ -666,9 +666,10 @@ void Writer::drain_step(const StepJob& job) {
       lane_crc[std::size_t(a)] += rank_crc_s;
     } else {
       if (rank_compress_s > 0.0)
-        client.charge_cpu(rank_compress_s, "compress");
-      if (rank_memcopy_s > 0.0) client.charge_cpu(rank_memcopy_s, "memcopy");
-      if (rank_crc_s > 0.0) client.charge_cpu(rank_crc_s, "crc32c");
+        client.charge_cpu(rank_compress_s, fsim::OpTag::compress);
+      if (rank_memcopy_s > 0.0)
+        client.charge_cpu(rank_memcopy_s, fsim::OpTag::memcopy);
+      if (rank_crc_s > 0.0) client.charge_cpu(rank_crc_s, fsim::OpTag::crc32c);
     }
   }
 
@@ -700,11 +701,12 @@ void Writer::drain_step(const StepJob& job) {
                           async ? kDataLane : 0);
     if (async) {
       if (lane_compress[std::size_t(a)] > 0.0)
-        client.charge_cpu(lane_compress[std::size_t(a)], "compress");
+        client.charge_cpu(lane_compress[std::size_t(a)],
+                          fsim::OpTag::compress);
       if (lane_memcopy[std::size_t(a)] > 0.0)
-        client.charge_cpu(lane_memcopy[std::size_t(a)], "memcopy");
+        client.charge_cpu(lane_memcopy[std::size_t(a)], fsim::OpTag::memcopy);
       if (lane_crc[std::size_t(a)] > 0.0)
-        client.charge_cpu(lane_crc[std::size_t(a)], "crc32c");
+        client.charge_cpu(lane_crc[std::size_t(a)], fsim::OpTag::crc32c);
     }
     if (bytes == 0) continue;
     touch_heartbeat();

@@ -102,7 +102,7 @@ void DegradingSink::note_failure_locked(const char* what,
     ++stats_.degradations;
     // A zero-cost cpu op tagged "degrade": Darshan capture counts these
     // into the job-level `degradations` counter.
-    fsim::FsClient(fs_, 0).charge_cpu(0.0, "degrade");
+    fsim::FsClient(fs_, 0).charge_cpu(0.0, fsim::OpTag::degrade);
   }
 }
 
@@ -120,7 +120,7 @@ void DegradingSink::note_success_locked() {
                               consecutive_successes_,
                               service_level_name(level_)));
   ++stats_.recoveries;
-  fsim::FsClient(fs_, 0).charge_cpu(0.0, "recovery");
+  fsim::FsClient(fs_, 0).charge_cpu(0.0, fsim::OpTag::recovery);
 }
 
 void DegradingSink::move_to_locked(IoServiceLevel next,

@@ -336,7 +336,7 @@ DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
   // job's ops-per-batch histogram and starts the next one.  Keyed per
   // client+lane because a stalled sqe releases the fs lock, so records of
   // different clients' batches may interleave in the trace.
-  std::map<std::pair<fsim::ClientId, std::uint32_t>, std::uint64_t>
+  std::map<std::pair<fsim::ClientId, std::uint16_t>, std::uint64_t>
       open_batches;
   const auto bucket_of = [](std::uint64_t sqes) -> std::size_t {
     if (sqes <= 1) return 0;
@@ -372,16 +372,16 @@ DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
     if (op.kind == OpKind::cpu) {
       // The recovery machinery charges its events to the trace as tagged
       // cpu ops; fold them into the job-level counters.
-      if (op.tag == "recovery") {
+      if (op.tag == fsim::OpTag::recovery) {
         log.job.recoveries += 1;
         log.job.t_recovery_s += op.cpu_seconds;
-      } else if (op.tag == "degrade") {
+      } else if (op.tag == fsim::OpTag::degrade) {
         log.job.degradations += 1;
-      } else if (op.tag == "delta_commit") {
+      } else if (op.tag == fsim::OpTag::delta_commit) {
         log.job.delta_epochs += op.op_count;
-      } else if (op.tag == "dedup") {
+      } else if (op.tag == fsim::OpTag::dedup) {
         log.job.dedup_bytes_saved += op.bytes;
-      } else if (op.tag == "restore_chain") {
+      } else if (op.tag == fsim::OpTag::restore_chain) {
         log.job.blocks_restored += op.op_count;
         log.job.t_restore_s += op.cpu_seconds;
       }

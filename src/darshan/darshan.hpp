@@ -33,26 +33,26 @@ struct JobInfo {
 
   // Online-recovery job counters (log format v4).  capture() derives them
   // from the cpu ops the recovery machinery charges to the trace:
-  // "recovery"-tagged ops (shrink-restarts and ladder step-ups) and
-  // "degrade"-tagged ops (I/O ladder step-downs).
+  // fsim::OpTag::recovery ops (shrink-restarts and ladder step-ups) and
+  // fsim::OpTag::degrade ops (I/O ladder step-downs).
   std::uint64_t recoveries = 0;
   std::uint64_t degradations = 0;
-  double t_recovery_s = 0.0;  // seconds charged under the "recovery" tag
+  double t_recovery_s = 0.0;  // seconds charged under OpTag::recovery
 
   // Incremental-checkpoint job counters (log format v6), derived the same
-  // way from the checkpoint manager's tagged cpu ops: "delta_commit" marks
-  // a delta epoch, "dedup" carries the payload bytes a commit skipped by
-  // referencing a base epoch, and "restore_chain" carries the wall time
-  // and block-fetch count of a chain restore.
+  // way from the checkpoint manager's tagged cpu ops: OpTag::delta_commit
+  // marks a delta epoch, OpTag::dedup carries the payload bytes a commit
+  // skipped by referencing a base epoch, and OpTag::restore_chain carries
+  // the wall time and block-fetch count of a chain restore.
   std::uint64_t delta_epochs = 0;
   std::uint64_t dedup_bytes_saved = 0;
   std::uint64_t blocks_restored = 0;
-  double t_restore_s = 0.0;  // seconds charged under the "restore_chain" tag
+  double t_restore_s = 0.0;  // seconds charged under OpTag::restore_chain
 
   // Batched queue-pair job counters (log format v7): histogram of sqes per
   // submit() doorbell across the whole job, derived from the doorbell-
-  // tagged OpKind::batch_write records.  Bucket edges: 1, 2-4, 5-16,
-  // 17-64, >= 65 sqes.
+  // tagged (fsim::kBatchDoorbellTag) OpKind::batch_write records.  Bucket
+  // edges: 1, 2-4, 5-16, 17-64, >= 65 sqes.
   static constexpr std::size_t kBatchHistBuckets = 5;
   std::uint64_t ops_per_batch[kBatchHistBuckets] = {0, 0, 0, 0, 0};
 };

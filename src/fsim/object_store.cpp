@@ -22,21 +22,43 @@ std::vector<std::string> split_path(const std::string& path) {
   return parts;
 }
 
-std::string parent_path(const std::string& path) {
-  auto parts = split_path(path);
-  if (parts.size() <= 1) return "";
+namespace {
+
+/// True when `path` is already in canonical form and can key the path
+/// index as is.
+bool is_canonical(const std::string& path) {
+  return !path.empty() && path.front() != '/' && path.back() != '/' &&
+         path.find("//") == std::string::npos;
+}
+
+/// The first `n` components of a split path, joined by '/'.
+std::string join_parts(const std::vector<std::string>& parts, std::size_t n) {
   std::string out;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (i) out += '/';
     out += parts[i];
   }
   return out;
 }
 
+}  // namespace
+
+std::string canonical_path(const std::string& path) {
+  if (is_canonical(path)) return path;
+  const auto parts = split_path(path);
+  return join_parts(parts, parts.size());
+}
+
+std::string parent_path(const std::string& path) {
+  const std::string canonical = canonical_path(path);
+  const auto slash = canonical.rfind('/');
+  return slash == std::string::npos ? "" : canonical.substr(0, slash);
+}
+
 std::string base_name(const std::string& path) {
-  auto parts = split_path(path);
-  if (parts.empty()) throw UsageError("base_name: empty path");
-  return parts.back();
+  const std::string canonical = canonical_path(path);
+  if (canonical.empty()) throw UsageError("base_name: empty path");
+  return canonical.substr(canonical.rfind('/') + 1);
 }
 
 ObjectStore::ObjectStore(int ost_count, bool store_data,
@@ -49,16 +71,21 @@ ObjectStore::ObjectStore(int ost_count, bool store_data,
 }
 
 DirNode& ObjectStore::mkdirs(const std::string& path) {
+  const auto parts = split_path(path);
+  return mkdirs(parts, parts.size());
+}
+
+DirNode& ObjectStore::mkdirs(const std::vector<std::string>& parts,
+                             std::size_t depth) {
   DirNode* node = &root_;
-  std::string so_far;
-  for (const auto& part : split_path(path)) {
-    so_far = so_far.empty() ? part : so_far + "/" + part;
+  for (std::size_t i = 0; i < depth; ++i) {
+    const std::string& part = parts[i];
     if (node->files.count(part))
-      throw IoError("mkdirs: '" + so_far + "' is a file");
+      throw IoError("mkdirs: '" + join_parts(parts, i + 1) + "' is a file");
     auto& slot = node->dirs[part];
     if (!slot) {
       slot = std::make_unique<DirNode>();
-      slot->path = so_far;
+      slot->path = join_parts(parts, i + 1);
       // Inherit striping from the parent, Lustre-style.
       slot->default_stripe = node->default_stripe;
     }
@@ -86,9 +113,14 @@ bool ObjectStore::dir_exists(const std::string& path) const {
   return find_dir(path) != nullptr;
 }
 
+FileId ObjectStore::lookup(const std::string& path) const {
+  const auto it = is_canonical(path) ? by_path_.find(path)
+                                     : by_path_.find(canonical_path(path));
+  return it == by_path_.end() ? kNoFile : it->second;
+}
+
 bool ObjectStore::file_exists(const std::string& path) const {
-  const DirNode* dir = find_dir(parent_path(path));
-  return dir && dir->files.count(base_name(path)) > 0;
+  return lookup(path) != kNoFile;
 }
 
 void ObjectStore::set_dir_stripe(const std::string& path,
@@ -127,13 +159,14 @@ StripeLayout ObjectStore::make_layout(StripeSettings settings) {
 
 FileNode& ObjectStore::create_file(
     const std::string& path, std::optional<StripeSettings> stripe_override) {
-  const std::string parent = parent_path(path);
-  DirNode& dir = mkdirs(parent);
-  const std::string name = base_name(path);
-  if (dir.files.count(name))
-    throw IoError("create_file: '" + path + "' exists");
+  const auto parts = split_path(path);
+  if (parts.empty()) throw UsageError("create_file: empty path");
+  DirNode& dir = mkdirs(parts, parts.size() - 1);
+  const std::string& name = parts.back();
   if (dir.dirs.count(name))
     throw IoError("create_file: '" + path + "' is a directory");
+  if (!dir.files.try_emplace(name, files_.size()).second)
+    throw IoError("create_file: '" + path + "' exists");
 
   auto node = std::make_unique<FileNode>();
   node->id = files_.size();
@@ -141,18 +174,15 @@ FileNode& ObjectStore::create_file(
   node->layout =
       make_layout(stripe_override ? *stripe_override : dir.default_stripe);
   node->create_order = next_create_order_++;
-  dir.files[name] = node->id;
+  by_path_.emplace(join_parts(parts, parts.size()), node->id);
   files_.push_back(std::move(node));
   return *files_.back();
 }
 
 FileNode& ObjectStore::file(const std::string& path) {
-  DirNode* dir = find_dir(parent_path(path));
-  if (dir) {
-    auto it = dir->files.find(base_name(path));
-    if (it != dir->files.end()) return *files_[it->second];
-  }
-  throw IoError("file: no such file '" + path + "'");
+  const FileId id = lookup(path);
+  if (id == kNoFile) throw IoError("file: no such file '" + path + "'");
+  return *files_[id];
 }
 
 const FileNode& ObjectStore::file(const std::string& path) const {
@@ -170,29 +200,25 @@ const FileNode& ObjectStore::file_by_id(FileId id) const {
 }
 
 void ObjectStore::unlink(const std::string& path) {
-  DirNode* dir = find_dir(parent_path(path));
-  if (!dir) throw IoError("unlink: no such file '" + path + "'");
-  auto it = dir->files.find(base_name(path));
-  if (it == dir->files.end())
+  if (lookup(path) == kNoFile)
     throw IoError("unlink: no such file '" + path + "'");
   // The FileNode stays alive (only the namespace entry goes away) so that
   // trace replay can still resolve layouts of files written before unlink.
-  dir->files.erase(it);
+  find_dir(parent_path(path))->files.erase(base_name(path));
+  by_path_.erase(canonical_path(path));
 }
 
 void ObjectStore::rename(const std::string& from, const std::string& to) {
-  DirNode* src_dir = find_dir(parent_path(from));
-  if (!src_dir) throw IoError("rename: no such file '" + from + "'");
-  auto src = src_dir->files.find(base_name(from));
-  if (src == src_dir->files.end())
-    throw IoError("rename: no such file '" + from + "'");
-  const FileId id = src->second;
+  const FileId id = lookup(from);
+  if (id == kNoFile) throw IoError("rename: no such file '" + from + "'");
   DirNode& dst_dir = mkdirs(parent_path(to));
   const std::string dst_name = base_name(to);
   if (dst_dir.dirs.count(dst_name))
     throw IoError("rename: '" + to + "' is a directory");
-  src_dir->files.erase(src);
+  find_dir(parent_path(from))->files.erase(base_name(from));
+  by_path_.erase(canonical_path(from));
   dst_dir.files[dst_name] = id;  // replaces any existing entry, like POSIX
+  by_path_[canonical_path(to)] = id;
   files_[id]->path = to;
 }
 

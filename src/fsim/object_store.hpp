@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fsim/types.hpp"
@@ -21,6 +22,9 @@ namespace bitio::fsim {
 
 /// Split "a/b/c" into {"a","b","c"}; leading '/' and repeated '/' ignored.
 std::vector<std::string> split_path(const std::string& path);
+/// Canonical spelling of a path: its components joined by single '/', no
+/// leading or trailing '/' ("/run//a.dat/" -> "run/a.dat", "/" -> "").
+std::string canonical_path(const std::string& path);
 /// Parent of "a/b/c" is "a/b"; parent of "a" is "".
 std::string parent_path(const std::string& path);
 /// Last component of the path.
@@ -58,6 +62,7 @@ public:
   /// Create directories along the path (mkdir -p).  Returns the leaf.
   DirNode& mkdirs(const std::string& path);
   bool dir_exists(const std::string& path) const;
+  /// False for a directory and for the empty path (the root directory).
   bool file_exists(const std::string& path) const;
 
   /// `lfs setstripe` on a directory: future files inherit these settings.
@@ -75,6 +80,8 @@ public:
   const FileNode& file(const std::string& path) const;
   FileNode& file_by_id(FileId id);
   const FileNode& file_by_id(FileId id) const;
+  /// One past the largest FileId handed out (ids are dense from 0).
+  std::size_t file_count() const { return files_.size(); }
 
   void unlink(const std::string& path);
 
@@ -100,12 +107,21 @@ public:
 private:
   const DirNode* find_dir(const std::string& path) const;
   DirNode* find_dir(const std::string& path);
+  /// mkdirs over the first `depth` components of an already split path.
+  DirNode& mkdirs(const std::vector<std::string>& parts, std::size_t depth);
+  /// FileId linked at `path`, or kNoFile.
+  FileId lookup(const std::string& path) const;
   StripeLayout make_layout(StripeSettings settings);
 
   int ost_count_;
   bool store_data_;
   DirNode root_;
   std::vector<std::unique_ptr<FileNode>> files_;  // index == FileId
+  // Canonical path -> FileId of every linked file: the O(1) lookup behind
+  // file() and file_exists().  Kept in step with the DirNode tree (which
+  // still answers listings, stripe inheritance and file/dir conflicts) by
+  // create_file, unlink and rename.
+  std::unordered_map<std::string, FileId> by_path_;
   std::uint64_t next_create_order_ = 0;
   std::uint64_t next_object_id_ = 0x11b00000;  // cosmetic, Listing-1 style
   int next_ost_ = 0;                           // round-robin base allocation

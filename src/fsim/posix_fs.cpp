@@ -25,7 +25,7 @@ void SharedFs::append_op(TraceOp op) {
       return;
     }
   }
-  trace_.push_back(std::move(op));
+  trace_.push_back(op);
 }
 
 void SharedFs::set_fault_plan(FaultPlan plan) {
@@ -96,10 +96,17 @@ std::uint64_t SharedFs::traced_bytes_read() const {
   return sum;
 }
 
+FsClient::FsClient(SharedFs& fs, ClientId client, std::uint32_t lane)
+    : fs_(&fs), client_(client), lane_(std::uint16_t(lane)) {
+  if (lane > UINT16_MAX)
+    throw UsageError("FsClient: lane " + std::to_string(lane) +
+                     " exceeds the 16-bit trace lane");
+}
+
 void FsClient::mkdir(const std::string& path) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   fs_->store_.mkdirs(path);
-  fs_->append_op({client_, OpKind::mkdir, kNoFile, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .kind = OpKind::mkdir, .lane = lane_});
 }
 
 void FsClient::setstripe(const std::string& dir, StripeSettings settings) {
@@ -138,7 +145,8 @@ bool FsClient::exists(const std::string& path) const {
 std::uint64_t FsClient::stat_size(const std::string& path) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   const FileNode& node = fs_->store_.file(path);
-  fs_->append_op({client_, OpKind::stat, node.id, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .kind = OpKind::stat, .lane = lane_,
+                  .file = node.id});
   return node.size;
 }
 
@@ -146,14 +154,16 @@ void FsClient::unlink(const std::string& path) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   const FileId id = fs_->store_.file(path).id;
   fs_->store_.unlink(path);
-  fs_->append_op({client_, OpKind::unlink, id, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op(
+      {.client = client_, .kind = OpKind::unlink, .lane = lane_, .file = id});
 }
 
 void FsClient::rename(const std::string& from, const std::string& to) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   const FileId id = fs_->store_.file(from).id;
   fs_->store_.rename(from, to);
-  fs_->append_op({client_, OpKind::rename, id, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op(
+      {.client = client_, .kind = OpKind::rename, .lane = lane_, .file = id});
 }
 
 int FsClient::open(const std::string& path, OpenMode mode) {
@@ -187,7 +197,8 @@ int FsClient::open(const std::string& path, OpenMode mode) {
   desc.position = mode == OpenMode::append ? node->size : 0;
   desc.writable = mode != OpenMode::read;
   desc.open = true;
-  fs_->append_op({client_, meta, node->id, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op(
+      {.client = client_, .kind = meta, .lane = lane_, .file = node->id});
   fs_->fds_.push_back(desc);
   return int(fs_->fds_.size() - 1);
 }
@@ -222,13 +233,15 @@ void FsClient::write(int fd, std::span<const std::uint8_t> data) {
   FileNode& node = fs_->store_.file_by_id(desc.file);
   const FaultKind fault = fs_->next_write_fault(node, client_, data.size());
   if (fault == FaultKind::eio || fault == FaultKind::enospc) {
-    fs_->append_op({client_, OpKind::write, desc.file, desc.position, 0, 1,
-                    0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .kind = OpKind::write, .lane = lane_,
+                    .file = desc.file, .offset = desc.position,
+                    .fault = fault});
     throw_injected("write", fault, node.path);
   }
   if (fault == FaultKind::stall) {
-    fs_->append_op({client_, OpKind::write, desc.file, desc.position, 0, 1,
-                    0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .kind = OpKind::write, .lane = lane_,
+                    .file = desc.file, .offset = desc.position,
+                    .fault = fault});
     fs_->stall_write(lock, "write", node.path);
   }
   std::uint64_t persist = data.size();
@@ -242,8 +255,9 @@ void FsClient::write(int fd, std::span<const std::uint8_t> data) {
         fs_->fault_plan_->injected_count(), data.size());
     node.data[desc.position + bit / 8] ^= std::uint8_t(1u << (bit % 8));
   }
-  fs_->append_op({client_, OpKind::write, desc.file, desc.position, persist,
-                  1, 0.0, {}, lane_, fault});
+  fs_->append_op({.client = client_, .kind = OpKind::write, .lane = lane_,
+                  .file = desc.file, .offset = desc.position,
+                  .bytes = persist, .fault = fault});
   // The caller saw a successful full write (torn tails are a *silent*
   // failure, discovered only on verification).
   desc.position += data.size();
@@ -257,13 +271,13 @@ void FsClient::pwrite(int fd, std::uint64_t offset,
   FileNode& node = fs_->store_.file_by_id(desc.file);
   const FaultKind fault = fs_->next_write_fault(node, client_, data.size());
   if (fault == FaultKind::eio || fault == FaultKind::enospc) {
-    fs_->append_op(
-        {client_, OpKind::write, desc.file, offset, 0, 1, 0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .kind = OpKind::write, .lane = lane_,
+                    .file = desc.file, .offset = offset, .fault = fault});
     throw_injected("pwrite", fault, node.path);
   }
   if (fault == FaultKind::stall) {
-    fs_->append_op(
-        {client_, OpKind::write, desc.file, offset, 0, 1, 0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .kind = OpKind::write, .lane = lane_,
+                    .file = desc.file, .offset = offset, .fault = fault});
     fs_->stall_write(lock, "pwrite", node.path);
   }
   std::uint64_t persist = data.size();
@@ -277,9 +291,9 @@ void FsClient::pwrite(int fd, std::uint64_t offset,
         fs_->fault_plan_->injected_count(), data.size());
     node.data[offset + bit / 8] ^= std::uint8_t(1u << (bit % 8));
   }
-  fs_->append_op(
-      {client_, OpKind::write, desc.file, offset, persist, 1, 0.0, {}, lane_,
-       fault});
+  fs_->append_op({.client = client_, .kind = OpKind::write, .lane = lane_,
+                  .file = desc.file, .offset = offset, .bytes = persist,
+                  .fault = fault});
 }
 
 void FsClient::write_simulated(int fd, std::uint64_t bytes,
@@ -292,13 +306,15 @@ void FsClient::write_simulated(int fd, std::uint64_t bytes,
   FileNode& node = fs_->store_.file_by_id(desc.file);
   const FaultKind fault = fs_->next_write_fault(node, client_, bytes);
   if (fault == FaultKind::eio || fault == FaultKind::enospc) {
-    fs_->append_op({client_, OpKind::write, desc.file, desc.position, 0, 1,
-                    0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .kind = OpKind::write, .lane = lane_,
+                    .file = desc.file, .offset = desc.position,
+                    .fault = fault});
     throw_injected("write_simulated", fault, node.path);
   }
   if (fault == FaultKind::stall) {
-    fs_->append_op({client_, OpKind::write, desc.file, desc.position, 0, 1,
-                    0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .kind = OpKind::write, .lane = lane_,
+                    .file = desc.file, .offset = desc.position,
+                    .fault = fault});
     fs_->stall_write(lock, "write_simulated", node.path);
   }
   std::uint64_t persist = bytes;
@@ -308,8 +324,9 @@ void FsClient::write_simulated(int fd, std::uint64_t bytes,
   node.size = std::max(node.size, desc.position + persist);
   if (fs_->store_.stores_data() && node.data.size() < node.size)
     node.data.resize(node.size, 0);
-  fs_->append_op({client_, OpKind::write, desc.file, desc.position, persist,
-                  op_count, 0.0, {}, lane_, fault});
+  fs_->append_op({.client = client_, .kind = OpKind::write, .lane = lane_,
+                  .file = desc.file, .offset = desc.position,
+                  .bytes = persist, .op_count = op_count, .fault = fault});
   desc.position += bytes;
 }
 
@@ -322,8 +339,9 @@ void FsClient::read_simulated(int fd, std::uint64_t bytes,
   const std::uint64_t avail =
       desc.position < node.size ? node.size - desc.position : 0;
   const std::uint64_t n = std::min(bytes, avail);
-  fs_->append_op(
-      {client_, OpKind::read, desc.file, desc.position, n, op_count, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .kind = OpKind::read, .lane = lane_,
+                  .file = desc.file, .offset = desc.position, .bytes = n,
+                  .op_count = op_count});
   desc.position += n;
 }
 
@@ -333,8 +351,8 @@ std::uint64_t FsClient::read(int fd, std::span<std::uint8_t> out) {
   const FileNode& node = fs_->store_.file_by_id(desc.file);
   const std::uint64_t n =
       fs_->store_.pread(node, desc.position, out.data(), out.size());
-  fs_->append_op(
-      {client_, OpKind::read, desc.file, desc.position, n, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .kind = OpKind::read, .lane = lane_,
+                  .file = desc.file, .offset = desc.position, .bytes = n});
   desc.position += n;
   return n;
 }
@@ -346,7 +364,8 @@ std::uint64_t FsClient::pread(int fd, std::uint64_t offset,
   const FileNode& node = fs_->store_.file_by_id(desc.file);
   const std::uint64_t n =
       fs_->store_.pread(node, offset, out.data(), out.size());
-  fs_->append_op({client_, OpKind::read, desc.file, offset, n, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .kind = OpKind::read, .lane = lane_,
+                  .file = desc.file, .offset = offset, .bytes = n});
   return n;
 }
 
@@ -359,14 +378,16 @@ void FsClient::seek(int fd, std::uint64_t position) {
 void FsClient::fsync(int fd) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   auto& desc = checked_fd(fs_->fds_, fd, client_);
-  fs_->append_op({client_, OpKind::fsync, desc.file, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .kind = OpKind::fsync, .lane = lane_,
+                  .file = desc.file});
 }
 
 void FsClient::close(int fd) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   auto& desc = checked_fd(fs_->fds_, fd, client_);
   desc.open = false;
-  fs_->append_op({client_, OpKind::close, desc.file, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .kind = OpKind::close, .lane = lane_,
+                  .file = desc.file});
 }
 
 std::vector<std::uint8_t> FsClient::read_all(const std::string& path) {
@@ -402,25 +423,35 @@ void FsClient::transfer(int fd, ClientId peer, std::uint64_t bytes,
       !fs_->fds_[std::size_t(fd)].open)
     throw IoError("bad file descriptor " + std::to_string(fd));
   const auto& desc = fs_->fds_[std::size_t(fd)];
-  TraceOp op{client_,  OpKind::xfer, desc.file, 0, bytes,
-             op_count, 0.0,          intra_node ? kShmGatherTag
-                                                : kNetGatherTag,
-             lane_};
-  op.peer = peer;
-  fs_->append_op(std::move(op));
+  fs_->append_op({.client = client_,
+                  .kind = OpKind::xfer,
+                  .tag = intra_node ? kShmGatherTag : kNetGatherTag,
+                  .lane = lane_,
+                  .file = desc.file,
+                  .bytes = bytes,
+                  .op_count = op_count,
+                  .peer = peer});
 }
 
-void FsClient::charge_cpu(double seconds, const std::string& tag,
-                          std::uint64_t bytes, std::uint32_t op_count) {
+void FsClient::charge_cpu(double seconds, OpTag tag, std::uint64_t bytes,
+                          std::uint32_t op_count) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
-  fs_->append_op({client_, OpKind::cpu, kNoFile, 0, bytes, op_count, seconds,
-                  tag, lane_});
+  fs_->append_op({.client = client_,
+                  .kind = OpKind::cpu,
+                  .tag = tag,
+                  .lane = lane_,
+                  .bytes = bytes,
+                  .cpu_seconds = seconds,
+                  .op_count = op_count});
 }
 
 void FsClient::note_fault(FaultKind kind) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
-  fs_->append_op({client_, OpKind::cpu, kNoFile, 0, 0, 1, 0.0, "fault", lane_,
-                  kind});
+  fs_->append_op({.client = client_,
+                  .kind = OpKind::cpu,
+                  .tag = OpTag::fault,
+                  .lane = lane_,
+                  .fault = kind});
 }
 
 // ---------------------------------------------------------------- queue pair
@@ -468,7 +499,7 @@ std::size_t SubmissionQueue::submit() {
   if (sqes_.empty()) return 0;
   SharedFs& fs = io_.shared();
   const ClientId client = io_.client();
-  const std::uint32_t lane = io_.lane();
+  const std::uint16_t lane = std::uint16_t(io_.lane());
   std::unique_lock<std::mutex> lock(fs.mutex_);
 
   // Validate every descriptor before touching any sqe: a bad fd is a
@@ -499,17 +530,23 @@ std::size_t SubmissionQueue::submit() {
     std::uint32_t sqes = 0;
   };
   Run run;
-  const auto trace_op = [&](TraceOp op) {
-    if (doorbell) {
-      op.tag = kBatchDoorbellTag;
-      doorbell = false;
-    }
-    fs.append_op(std::move(op));
+  const auto trace_op = [&](FileId file, std::uint64_t offset,
+                            std::uint64_t bytes, std::uint32_t op_count,
+                            FaultKind fault) {
+    fs.append_op({.client = client,
+                  .kind = OpKind::batch_write,
+                  .tag = doorbell ? kBatchDoorbellTag : OpTag::none,
+                  .lane = lane,
+                  .file = file,
+                  .offset = offset,
+                  .bytes = bytes,
+                  .op_count = op_count,
+                  .fault = fault});
+    doorbell = false;
   };
   const auto flush_run = [&] {
     if (run.sqes == 0) return;
-    trace_op({client, OpKind::batch_write, run.file, run.offset, run.bytes,
-              run.sqes, 0.0, {}, lane});
+    trace_op(run.file, run.offset, run.bytes, run.sqes, FaultKind::none);
     run = Run{};
   };
 
@@ -526,8 +563,7 @@ std::size_t SubmissionQueue::submit() {
     cqe.fault = fault;
     if (fault == FaultKind::eio || fault == FaultKind::enospc) {
       flush_run();
-      trace_op({client, OpKind::batch_write, desc.file, sqe.offset, 0, 1, 0.0,
-                {}, lane, fault});
+      trace_op(desc.file, sqe.offset, 0, 1, fault);
       cqe.ok = false;
       cqe.error = "submit: injected " + std::string(fault_name(fault)) +
                   " on '" + node.path + "'";
@@ -536,8 +572,7 @@ std::size_t SubmissionQueue::submit() {
     }
     if (fault == FaultKind::stall) {
       flush_run();
-      trace_op({client, OpKind::batch_write, desc.file, sqe.offset, 0, 1, 0.0,
-                {}, lane, fault});
+      trace_op(desc.file, sqe.offset, 0, 1, fault);
       try {
         fs.stall_write(lock, "submit", node.path);
       } catch (const TimeoutError& err) {
@@ -578,8 +613,7 @@ std::size_t SubmissionQueue::submit() {
       // Faulted records are never coalesced, so each injection stays
       // attributable in the trace.
       flush_run();
-      trace_op({client, OpKind::batch_write, desc.file, sqe.offset, persist,
-                1, 0.0, {}, lane, fault});
+      trace_op(desc.file, sqe.offset, persist, 1, fault);
     } else if (coalesce_ && run.sqes > 0 && run.file == desc.file &&
                run.offset + run.bytes == sqe.offset) {
       // Counts every byte of a vectored record merging >= 2 sqes (the same

@@ -118,8 +118,8 @@ private:
 /// replay as overlapped drain lanes (see TraceOp::lane).
 class FsClient {
 public:
-  FsClient(SharedFs& fs, ClientId client, std::uint32_t lane = 0)
-      : fs_(&fs), client_(client), lane_(lane) {}
+  /// Throws UsageError when `lane` does not fit TraceOp::lane (16 bits).
+  FsClient(SharedFs& fs, ClientId client, std::uint32_t lane = 0);
 
   ClientId client() const { return client_; }
   std::uint32_t lane() const { return lane_; }
@@ -185,8 +185,8 @@ public:
   /// `op_count` annotate the op for counters keyed on the tag (e.g. the
   /// Darshan log's dedup_bytes_saved / blocks_restored) — cpu ops never
   /// contribute to the traced read/write byte totals regardless.
-  void charge_cpu(double seconds, const std::string& tag,
-                  std::uint64_t bytes = 0, std::uint32_t op_count = 1);
+  void charge_cpu(double seconds, OpTag tag, std::uint64_t bytes = 0,
+                  std::uint32_t op_count = 1);
 
   /// Record a harness-level fault (e.g. rank_crash) as a zero-cost tagged
   /// TraceOp so Darshan capture attributes it like write-layer injections.
@@ -195,7 +195,7 @@ public:
 private:
   SharedFs* fs_;
   ClientId client_;
-  std::uint32_t lane_ = 0;
+  std::uint16_t lane_ = 0;
 };
 
 // ---------------------------------------------------------------- queue pair

@@ -1,9 +1,10 @@
 #include "fsim/storage_model.hpp"
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <map>
 #include <queue>
-#include <set>
 #include <utility>
 
 #include "fsim/des.hpp"
@@ -21,12 +22,20 @@ double mean_over_clients(const std::vector<ClientTimes>& clients,
   return sum / double(clients.size());
 }
 
+/// A file's RAID0 geometry, copied out of its FileNode once per replay so
+/// data ops index a flat table instead of chasing node pointers.
+struct Stripes {
+  std::uint64_t stripe_size = 0;
+  std::uint32_t stripe_count = 0;
+  int first_ost = 0;  // osts[0], inline for the common one-stripe file
+  const int* osts = nullptr;
+};
+
 /// Pick the OST serving byte `offset` of a file under RAID0 striping.
-int ost_for_offset(const StripeLayout& layout, std::uint64_t offset) {
-  const auto& s = layout.settings;
-  const std::uint64_t stripe_index = (offset / s.stripe_size) %
-                                     std::uint64_t(s.stripe_count);
-  return layout.ost_indices[std::size_t(stripe_index)];
+int ost_for_offset(const Stripes& s, std::uint64_t offset) {
+  const std::uint64_t stripe_index =
+      (offset / s.stripe_size) % std::uint64_t(s.stripe_count);
+  return stripe_index == 0 ? s.first_ost : s.osts[stripe_index];
 }
 
 }  // namespace
@@ -56,22 +65,46 @@ ReplayReport replay_trace(const SystemProfile& profile,
   // preserving program order within each sequence.  Lane 0 is the client's
   // critical path; every drain lane is an independent concurrent program of
   // the same client (all lanes start at t = 0 and share the client's node
-  // link and the OSTs).
-  struct Sequence {
-    ClientId client = 0;
-    std::uint32_t lane = 0;
-    std::vector<std::uint32_t> ops;
+  // link and the OSTs).  Sequence ids follow first appearance in the
+  // trace: the initial heap pushes run in that order, and the pop order of
+  // the t = 0 ties depends on it.  The grouping is CSR-style: count ops per
+  // sequence, prefix-sum the counts into `first`, then scatter op indices
+  // into one `order` array.  Sequence s owns order[first[s] ...], ended by
+  // a kEnd sentinel.
+  if (trace.size() > std::numeric_limits<std::uint32_t>::max())
+    throw UsageError("replay_trace: trace exceeds 2^32 - 1 ops");
+  constexpr std::uint32_t kUnseen = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint32_t kEnd = kUnseen;
+  std::vector<std::uint32_t> lane0_sequence(std::size_t(nclients), kUnseen);
+  std::map<std::pair<ClientId, std::uint16_t>, std::uint32_t> drain_sequence;
+  std::vector<std::uint32_t> first;  // op counts, then CSR offsets
+  const auto sequence_of = [&](const TraceOp& op) -> std::uint32_t {
+    std::uint32_t& slot =
+        op.lane == 0
+            ? lane0_sequence[op.client]
+            : drain_sequence.try_emplace({op.client, op.lane}, kUnseen)
+                  .first->second;
+    if (slot == kUnseen) {
+      slot = std::uint32_t(first.size());
+      first.push_back(0);
+    }
+    return slot;
   };
-  std::vector<Sequence> sequences;
-  std::map<std::pair<ClientId, std::uint32_t>, std::size_t> sequence_of;
-  for (std::uint32_t i = 0; i < trace.size(); ++i) {
-    const TraceOp& op = trace[i];
+  for (const TraceOp& op : trace) {
     if (op.client >= ClientId(nclients))
       throw UsageError("replay_trace: client id out of range");
-    const auto key = std::make_pair(op.client, op.lane);
-    auto [it, inserted] = sequence_of.try_emplace(key, sequences.size());
-    if (inserted) sequences.push_back({op.client, op.lane, {}});
-    sequences[it->second].ops.push_back(i);
+    ++first[sequence_of(op)];
+  }
+  std::size_t total = 0;
+  for (std::uint32_t& slot : first)
+    slot = std::uint32_t(std::exchange(total, total + slot + 1));
+  if (total > std::numeric_limits<std::uint32_t>::max())
+    throw UsageError("replay_trace: trace exceeds 2^32 - 1 ops");
+  std::vector<std::uint32_t> order(total, kEnd);
+  {
+    std::vector<std::uint32_t> fill = first;
+    for (std::uint32_t i = 0; i < std::uint32_t(trace.size()); ++i)
+      order[fill[sequence_of(trace[i])]++] = i;
   }
 
   const int nnodes =
@@ -98,30 +131,52 @@ ReplayReport replay_trace(const SystemProfile& profile,
   report.clients.assign(std::size_t(nclients), ClientTimes{});
   report.op_durations.assign(trace.size(), 0.0);
 
-  // Min-heap of (ready time, sequence, next op index within the sequence).
+  // Min-heap of (ready time, trace index of a sequence's next op, that op's
+  // position in `order`).  Ordered by time alone: which of several
+  // equal-time entries pops first is decided by the heap's own sift order,
+  // and that order is model output (it sets the MDS/OST FIFO order and
+  // which noise draw each op gets), so the container and the push/pop
+  // sequence must stay exactly these.
   struct Pending {
     double time;
-    std::size_t sequence;
-    std::uint32_t index;
+    std::uint32_t op;
+    std::uint32_t position;
     bool operator>(const Pending& other) const { return time > other.time; }
   };
+  static_assert(sizeof(Pending) == 16);
   std::priority_queue<Pending, std::vector<Pending>, std::greater<>> heap;
-  for (std::size_t s = 0; s < sequences.size(); ++s)
-    if (!sequences[s].ops.empty()) heap.push({0.0, s, 0});
+  for (const std::uint32_t start : first) heap.push({0.0, order[start], start});
 
+  std::vector<Stripes> stripes(store.file_count());
+  for (FileId id = 0; id < stripes.size(); ++id) {
+    const StripeLayout& layout = store.file_by_id(id).layout;
+    if (layout.ost_indices.empty()) continue;  // no OST to map to
+    stripes[id] = {layout.settings.stripe_size,
+                   std::uint32_t(layout.settings.stripe_count),
+                   layout.ost_indices[0], layout.ost_indices.data()};
+  }
   // Files already read once: later readers hit the page cache.
-  std::set<FileId> first_read;
+  std::vector<bool> read_before(store.file_count(), false);
+  // CPU seconds per tag, summed in replay order; named at the end.
+  std::array<double, kOpTagCount> cpu_seconds{};
+  std::array<bool, kOpTagCount> cpu_seen{};
 
   while (!heap.empty()) {
     const Pending pending = heap.top();
     heap.pop();
-    const Sequence& seq = sequences[pending.sequence];
-    const std::uint32_t trace_index = seq.ops[pending.index];
+    // The replay is bound by cache misses on the trace and the per-op
+    // output, so start fetching the likely next op while this one runs (a
+    // hint only: a push below may still overtake it).
+    if (!heap.empty()) {
+      __builtin_prefetch(&trace[heap.top().op]);
+      __builtin_prefetch(&report.op_durations[heap.top().op], 1);
+    }
+    const std::uint32_t trace_index = pending.op;
     const TraceOp& op = trace[trace_index];
-    ClientTimes& times = report.clients[std::size_t(seq.client)];
+    ClientTimes& times = report.clients[std::size_t(op.client)];
     // Drain lanes accumulate into `drain` only; the critical-path buckets
     // stay untouched by overlapped work.
-    const bool drain_lane = seq.lane > 0;
+    const bool drain_lane = op.lane > 0;
     const auto charge = [&](double ClientTimes::* member, double dt) {
       if (drain_lane)
         times.drain += dt;
@@ -147,12 +202,13 @@ ReplayReport replay_trace(const SystemProfile& profile,
     case ServiceClass::cpu: {
       done = t0 + op.cpu_seconds;
       charge(&ClientTimes::cpu, op.cpu_seconds);
-      report.cpu_by_tag[op.tag] += op.cpu_seconds;
+      cpu_seconds[std::size_t(op.tag)] += op.cpu_seconds;
+      cpu_seen[std::size_t(op.tag)] = true;
       break;
     }
     case ServiceClass::net: {
       // Rank-to-rank gather transfer (topology-modeled aggregation).  The
-      // *receiving* rank records the op — seq.client is the gatherer,
+      // *receiving* rank records the op — op.client is the gatherer,
       // op.peer the sender — so the fan-in gates the receiver's later
       // ops (its forward hop or container write).  The tag carries the
       // gather level: kShmGatherTag streams through the node's shared-
@@ -163,7 +219,7 @@ ReplayReport replay_trace(const SystemProfile& profile,
       // link.
       if (op.peer >= ClientId(nclients))
         throw UsageError("replay_trace: xfer peer out of range");
-      const int recv_node = int(seq.client) / profile.ranks_per_node;
+      const int recv_node = int(op.client) / profile.ranks_per_node;
       if (op.tag == kShmGatherTag) {
         double service = profile.shm_latency_s * double(op.op_count) +
                          double(op.bytes) / profile.shm_bandwidth_bps;
@@ -171,7 +227,7 @@ ReplayReport replay_trace(const SystemProfile& profile,
             std::max(1, profile.ranks_per_node /
                             std::max(1, profile.numa_per_node));
         const int recv_numa =
-            (int(seq.client) % profile.ranks_per_node) / per_numa;
+            (int(op.client) % profile.ranks_per_node) / per_numa;
         const int send_numa =
             (int(op.peer) % profile.ranks_per_node) / per_numa;
         if (recv_numa != send_numa) service *= profile.shm_numa_factor;
@@ -180,7 +236,7 @@ ReplayReport replay_trace(const SystemProfile& profile,
         const double occupancy =
             double(op.bytes) / profile.link_bandwidth_bps;
         FifoResource& snd = link_of(op.peer);
-        FifoResource& rcv = link_of(seq.client);
+        FifoResource& rcv = link_of(op.client);
         const double sent = snd.submit(
             t0, (profile.link_latency_s * double(op.op_count) + occupancy) *
                     noise.next());
@@ -191,8 +247,10 @@ ReplayReport replay_trace(const SystemProfile& profile,
       break;
     }
     case ServiceClass::data: {
-      const StripeLayout& layout = store.file_by_id(op.file).layout;
-      FifoResource& link = link_of(seq.client);
+      // An id past the store's table is rejected the way file_by_id does.
+      if (op.file >= stripes.size()) (void)store.file_by_id(op.file);
+      const Stripes& layout = stripes[op.file];
+      FifoResource& link = link_of(op.client);
       const std::uint64_t record =
           op.op_count > 0 ? op.bytes / op.op_count : op.bytes;
       const bool is_batch = op.kind == OpKind::batch_write;
@@ -227,15 +285,9 @@ ReplayReport replay_trace(const SystemProfile& profile,
         else
           times.write_calls += op.op_count;
         report.bytes_written += op.bytes;
-        report.op_durations[trace_index] = done - t0;
-        times.end = std::max(times.end, done);
-        report.makespan = std::max(report.makespan, done);
-        const std::uint32_t next_index = pending.index + 1;
-        if (next_index < seq.ops.size())
-          heap.push({done, pending.sequence, next_index});
-        continue;
+        break;
       }
-      if (op.kind == OpKind::read && !first_read.insert(op.file).second) {
+      if (op.kind == OpKind::read && read_before[op.file]) {
         // Page-cache hit: everyone after the first reader of this file.
         done = link.submit(t0, profile.cached_read_service_s +
                                    double(op.bytes) /
@@ -243,14 +295,9 @@ ReplayReport replay_trace(const SystemProfile& profile,
         charge(&ClientTimes::read, done - t0);
         if (!drain_lane) times.read_calls += op.op_count;
         report.bytes_read += op.bytes;
-        report.op_durations[trace_index] = done - t0;
-        times.end = std::max(times.end, done);
-        report.makespan = std::max(report.makespan, done);
-        const std::uint32_t next_index = pending.index + 1;
-        if (next_index < seq.ops.size())
-          heap.push({done, pending.sequence, next_index});
-        continue;
+        break;
       }
+      if (op.kind == OpKind::read) read_before[op.file] = true;
       {
         // Streaming path: syscall overhead, then sliced transfers through
         // the node link and the stripe-mapped OSTs.  OST request latency
@@ -268,10 +315,10 @@ ReplayReport replay_trace(const SystemProfile& profile,
         const double t_start = t0 + setup;
         // RPC size: stripe size clamped to [64 KiB, slice_bytes].
         const std::uint64_t slice = std::clamp<std::uint64_t>(
-            layout.settings.stripe_size, 64 * 1024, profile.slice_bytes);
+            layout.stripe_size, 64 * 1024, profile.slice_bytes);
         const std::uint64_t nslices = (op.bytes + slice - 1) / slice;
         const std::uint64_t osts_touched = std::min<std::uint64_t>(
-            std::uint64_t(layout.settings.stripe_count), nslices);
+            std::uint64_t(layout.stripe_count), nslices);
         done = t_start + double(nslices) * profile.rpc_overhead_s +
                double(osts_touched) * profile.stripe_lock_overhead_s +
                double(op.bytes) / profile.client_stream_bandwidth_bps;
@@ -312,10 +359,11 @@ ReplayReport replay_trace(const SystemProfile& profile,
     report.op_durations[trace_index] = done - t0;
     times.end = std::max(times.end, done);
     report.makespan = std::max(report.makespan, done);
-    const std::uint32_t next = pending.index + 1;
-    if (next < seq.ops.size())
-      heap.push({done, pending.sequence, next});
+    if (const std::uint32_t next = order[pending.position + 1]; next != kEnd)
+      heap.push({done, next, pending.position + 1});
   }
+  for (std::size_t t = 0; t < kOpTagCount; ++t)
+    if (cpu_seen[t]) report.cpu_by_tag[tag_name(OpTag(t))] = cpu_seconds[t];
   for (const auto& ost : osts) {
     report.ost_busy_seconds.push_back(ost.busy_seconds());
     report.ost_busy_until.push_back(ost.busy_until());

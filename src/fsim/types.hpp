@@ -1,8 +1,10 @@
 #pragma once
 // Shared vocabulary types for the storage simulator.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace bitio::fsim {
@@ -44,14 +46,66 @@ enum class OpKind : std::uint8_t {
   batch_write,  // queue-pair submission: op_count sqes in one ring doorbell
 };
 
+/// Subcategory of a trace record.  Cpu records name what the client spent
+/// its time on (`cpu_by_tag` keys, Darshan job counters); xfer records name
+/// the gather level; the first batch_write record of a submit() carries the
+/// doorbell.  Every other record is untagged.  tag_name() is the exhaustive
+/// enumerator -> name mapping (a new enumerator without a case fails the
+/// strict build's -Wswitch).
+enum class OpTag : std::uint8_t {
+  none,
+  // OpKind::cpu
+  compress,
+  memcopy,
+  crc32c,
+  decompress,
+  backoff,        // checkpoint retry wait (resil::CheckpointManager)
+  recovery,       // shrink-restart / ladder step-up (Darshan recoveries)
+  degrade,        // I/O ladder step-down (Darshan degradations)
+  delta_commit,   // delta checkpoint epoch (Darshan delta_epochs)
+  dedup,          // bytes skipped by referencing a base epoch
+  restore_chain,  // delta-chain restore (Darshan blocks_restored)
+  fault,          // harness-level fault marker (FsClient::note_fault)
+  compute,        // modeled application compute (bench programs)
+  // OpKind::xfer
+  shm_gather,
+  net_gather,
+  // OpKind::batch_write
+  doorbell,  // keep last: kOpTagCount counts up to it
+};
+
+/// Number of OpTag enumerators (for per-tag tables).
+inline constexpr std::size_t kOpTagCount = std::size_t(OpTag::doorbell) + 1;
+
+inline const char* tag_name(OpTag tag) {
+  switch (tag) {
+    case OpTag::none: return "";
+    case OpTag::compress: return "compress";
+    case OpTag::memcopy: return "memcopy";
+    case OpTag::crc32c: return "crc32c";
+    case OpTag::decompress: return "decompress";
+    case OpTag::backoff: return "backoff";
+    case OpTag::recovery: return "recovery";
+    case OpTag::degrade: return "degrade";
+    case OpTag::delta_commit: return "delta_commit";
+    case OpTag::dedup: return "dedup";
+    case OpTag::restore_chain: return "restore_chain";
+    case OpTag::fault: return "fault";
+    case OpTag::compute: return "compute";
+    case OpTag::shm_gather: return "shm_gather";
+    case OpTag::net_gather: return "net_gather";
+    case OpTag::doorbell: return "doorbell";
+  }
+  return "?";
+}
+
 /// Tags carried by OpKind::xfer records, naming the gather level of the
 /// two-level aggregation path.  The recording site (bp::Writer via
 /// FsClient::transfer) picks the tag from the topo::Mapper placement; the
 /// timing replay selects the modeled channel from it and Darshan capture
-/// buckets the per-level gather counters by it.  tools/lint_invariants
-/// (topology-registry rule) checks all three stay in lockstep.
-inline constexpr const char* kShmGatherTag = "shm_gather";
-inline constexpr const char* kNetGatherTag = "net_gather";
+/// buckets the per-level gather counters by it.
+inline constexpr OpTag kShmGatherTag = OpTag::shm_gather;
+inline constexpr OpTag kNetGatherTag = OpTag::net_gather;
 
 /// Tag carried by the first OpKind::batch_write record of each
 /// SubmissionQueue::submit() call (the ring doorbell).  The timing replay
@@ -59,7 +113,7 @@ inline constexpr const char* kNetGatherTag = "net_gather";
 /// the setup cost is amortized over the whole batch while every record pays
 /// the tiny per-sqe charge; Darshan capture counts doorbells as
 /// batches_submitted and uses them to delimit the ops-per-batch histogram.
-inline constexpr const char* kBatchDoorbellTag = "doorbell";
+inline constexpr OpTag kBatchDoorbellTag = OpTag::doorbell;
 
 /// How the timing replay and Darshan capture bucket an operation: against
 /// the metadata server, as a data transfer to/from the OSTs, or as
@@ -140,33 +194,35 @@ inline const char* fault_name(FaultKind kind) {
 /// One record of a client I/O trace.  Consecutive sequential writes by the
 /// same client to the same descriptor are coalesced into a single record
 /// with op_count > 1 so huge runs stay tractable; the timing model charges
-/// per-op overhead `op_count` times.
+/// per-op overhead `op_count` times.  A paper-scale window records millions
+/// of these, so the record is kept trivially copyable and at most 56 bytes
+/// (fields ordered by alignment; build one with designated initializers).
 struct TraceOp {
   ClientId client = 0;
   OpKind kind = OpKind::open;
-  FileId file = kNoFile;
-  std::uint64_t offset = 0;      // starting byte offset (write/read)
-  std::uint64_t bytes = 0;       // total bytes (write/read)
-  std::uint32_t op_count = 1;    // number of coalesced calls
-  double cpu_seconds = 0.0;      // only for OpKind::cpu
-  std::string tag;               // cpu subcategory ("compress", "memcopy",
-                                 // ...) or xfer gather level (kShmGatherTag
-                                 // / kNetGatherTag)
+  OpTag tag = OpTag::none;
   // Logical execution lane within the client.  Lane 0 is the rank's
   // critical path; lanes > 0 are overlapped drain lanes (BP5 AsyncWrite):
   // their ops replay concurrently with lane 0 and are attributed to
   // ClientTimes::drain instead of meta/write/read.
-  std::uint32_t lane = 0;
+  std::uint16_t lane = 0;
+  FileId file = kNoFile;
+  std::uint64_t offset = 0;      // starting byte offset (write/read)
+  std::uint64_t bytes = 0;       // total bytes (write/read)
+  double cpu_seconds = 0.0;      // only for OpKind::cpu
+  std::uint32_t op_count = 1;    // number of coalesced calls
+  // Remote endpoint of an OpKind::xfer gather transfer — the *sending*
+  // rank (the receiver records the op so the fan-in gates its later trace
+  // ops); unused by every other kind.  The replay derives the remote node
+  // / NIC from it.
+  ClientId peer = 0;
   // Fault injected into this operation, if any.  For torn writes `bytes`
   // is the *persisted* prefix; for eio/enospc the write threw and `bytes`
   // is 0.  Faulted ops are never coalesced.
   FaultKind fault = FaultKind::none;
-  // Remote endpoint of an OpKind::xfer gather transfer — the *sending*
-  // rank (the receiver records the op so the fan-in gates its later trace
-  // ops); unused by every other kind.  The replay derives the remote node
-  // / NIC from it.  (Deliberately last: the rest of the struct keeps its
-  // historical aggregate-initialization order.)
-  ClientId peer = 0;
 };
+
+static_assert(sizeof(TraceOp) <= 56, "one TraceOp per traced call");
+static_assert(std::is_trivially_copyable_v<TraceOp>);
 
 }  // namespace bitio::fsim

@@ -122,7 +122,8 @@ std::uint64_t CheckpointManager::commit() {
       // timeline so the cost shows up in the replay like a real sleep.
       stats_.write_retries += 1;
       fsim::FsClient(fs_, 0).charge_cpu(
-          kBackoffBaseSeconds * double(1ull << (attempt - 1)), "backoff");
+          kBackoffBaseSeconds * double(1ull << (attempt - 1)),
+          fsim::OpTag::backoff);
     }
     try {
       committed = try_commit_epoch(epoch, step, kind, refs);
@@ -147,8 +148,8 @@ std::uint64_t CheckpointManager::commit() {
     // Surface the dedup decision in the trace so the Darshan log can count
     // delta epochs and the bytes they avoided writing.
     fsim::FsClient trace(fs_, 0);
-    trace.charge_cpu(0.0, "delta_commit");
-    trace.charge_cpu(0.0, "dedup", saved);
+    trace.charge_cpu(0.0, fsim::OpTag::delta_commit);
+    trace.charge_cpu(0.0, fsim::OpTag::dedup, saved);
   }
   commits_since_full_ = want_delta ? commits_since_full_ + 1 : 0;
 
@@ -415,7 +416,7 @@ void CheckpointManager::restore_via_chain(std::uint64_t epoch,
   stats_.t_restore_s += elapsed;
   // Wall time and block count of the chain walk, surfaced in the trace for
   // the Darshan log's restore counters.
-  fsim::FsClient(fs_, 0).charge_cpu(elapsed, "restore_chain", 0,
+  fsim::FsClient(fs_, 0).charge_cpu(elapsed, fsim::OpTag::restore_chain, 0,
                                     std::uint32_t(source.blocks_read()));
 }
 

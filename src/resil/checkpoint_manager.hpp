@@ -30,7 +30,7 @@
 // MANIFEST.tmp and rename() it to MANIFEST — the atomic commit point.  An
 // epoch without a MANIFEST does not exist.  Transient injected failures
 // (EIO/ENOSPC) are retried with bounded exponential backoff (charged to the
-// rank's timeline under the "backoff" tag); an epoch that fails CRC
+// rank's timeline under fsim::OpTag::backoff); an epoch that fails CRC
 // validation is torn down and rewritten.  After a successful commit, epochs
 // beyond the newest `checkpoint_retain` are pruned (MANIFEST first, so a
 // crash mid-prune never leaves a committed-but-gutted epoch).

@@ -107,7 +107,7 @@ ResilientRunReport run_resilient_spmd(fsim::SharedFs& fs,
           if (epoch == 0) restarted_from_scratch = true;
         }
         // Charge the recovery to the trace so Darshan capture counts it.
-        fsim::FsClient(fs, 0).charge_cpu(seconds, "recovery");
+        fsim::FsClient(fs, 0).charge_cpu(seconds, fsim::OpTag::recovery);
         gen.manager->record_recovery(seconds);
         log_info(strfmt(
             "recovery %d: %d survivors, %s, resuming at step %llu",

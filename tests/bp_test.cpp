@@ -250,8 +250,8 @@ TEST(BpWriter, CompressionChargesCompressNotMemcopy) {
   double compress = 0.0, memcopy = 0.0;
   for (const auto& op : fs.trace()) {
     if (op.kind != fsim::OpKind::cpu) continue;
-    if (op.tag == "compress") compress += op.cpu_seconds;
-    if (op.tag == "memcopy") memcopy += op.cpu_seconds;
+    if (op.tag == fsim::OpTag::compress) compress += op.cpu_seconds;
+    if (op.tag == fsim::OpTag::memcopy) memcopy += op.cpu_seconds;
   }
   EXPECT_GT(compress, 0.0);
   EXPECT_DOUBLE_EQ(memcopy, 0.0);  // Fig 8: memcopy eliminated
@@ -269,9 +269,33 @@ TEST(BpWriter, NoCompressionChargesMemcopy) {
   }
   double memcopy = 0.0;
   for (const auto& op : fs.trace())
-    if (op.kind == fsim::OpKind::cpu && op.tag == "memcopy")
+    if (op.kind == fsim::OpKind::cpu && op.tag == fsim::OpTag::memcopy)
       memcopy += op.cpu_seconds;
   EXPECT_GT(memcopy, 0.0);
+}
+
+TEST(BpWriter, CpuTagsReachTheReplayByName) {
+  // The writer and reader charge their cpu time under fsim::OpTag
+  // enumerators; the replay must report them under the historical names.
+  fsim::SharedFs fs(4);
+  std::vector<float> smooth(4096);
+  for (std::size_t i = 0; i < smooth.size(); ++i) smooth[i] = float(i) * 0.01f;
+  for (const char* codec : {"blosc", "none"}) {
+    Writer writer = Writer::open(fs, std::string("tags_") + codec + ".bp4",
+                                 small_config(1, codec), 1);
+    writer.begin_step(0);
+    writer.put<float>(0, "x", {smooth.size()}, {0}, {smooth.size()}, smooth);
+    writer.end_step();
+    writer.close();
+  }
+  EXPECT_EQ(Reader::open(fs, 0, "tags_blosc.bp4").read_as<float>(0, "x"),
+            smooth);
+  const auto report = fsim::replay_trace(fsim::system_profile("dardel"),
+                                         fs.store(), fs.trace(), 1);
+  for (const char* tag : {"compress", "memcopy", "crc32c", "decompress"}) {
+    ASSERT_TRUE(report.cpu_by_tag.count(tag)) << tag;
+    EXPECT_GT(report.cpu_by_tag.at(tag), 0.0) << tag;
+  }
 }
 
 TEST(BpWriter, ParallelCompressionRoundTripThroughContainer) {

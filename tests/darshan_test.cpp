@@ -99,9 +99,9 @@ TEST(Darshan, RecoveryCountersRoundTripInV4Logs) {
   populate_two_rank_job(fs);
   // The recovery machinery charges zero-cost cpu ops tagged "recovery" /
   // "degrade"; capture() folds them into the job-level counters.
-  FsClient(fs, 0).charge_cpu(1.5, "recovery");
-  FsClient(fs, 0).charge_cpu(0.0, "degrade");
-  FsClient(fs, 0).charge_cpu(0.25, "recovery");
+  FsClient(fs, 0).charge_cpu(1.5, fsim::OpTag::recovery);
+  FsClient(fs, 0).charge_cpu(0.0, fsim::OpTag::degrade);
+  FsClient(fs, 0).charge_cpu(0.25, fsim::OpTag::recovery);
   auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
   auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
   EXPECT_EQ(log.job.recoveries, 2u);
@@ -196,7 +196,7 @@ TEST(Darshan, ParsesLegacyV3LogsWithZeroRecoveryCounters) {
 TEST(Darshan, ParsesLegacyV4LogsWithZeroGatherCounters) {
   SharedFs fs(8);
   populate_two_rank_job(fs);
-  FsClient(fs, 0).charge_cpu(1.5, "recovery");
+  FsClient(fs, 0).charge_cpu(1.5, fsim::OpTag::recovery);
   auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
   auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
   const auto bytes = downgrade_log(log.serialize(), '4');
@@ -217,7 +217,7 @@ TEST(Darshan, ParsesLegacyV4LogsWithZeroGatherCounters) {
 TEST(Darshan, ParsesLegacyV5LogsWithZeroCheckpointCounters) {
   SharedFs fs(8);
   populate_two_rank_job(fs);
-  FsClient(fs, 0).charge_cpu(1.5, "recovery");
+  FsClient(fs, 0).charge_cpu(1.5, fsim::OpTag::recovery);
   auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
   auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
   const auto bytes = downgrade_log(log.serialize(), '5');
@@ -238,11 +238,11 @@ TEST(Darshan, FoldsCheckpointCpuTagsIntoJobCounters) {
   // The checkpoint manager annotates its tagged cpu ops: "delta_commit"
   // counts delta epochs, "dedup" carries the bytes a commit skipped,
   // "restore_chain" carries the restore wall time and block-fetch count.
-  FsClient(fs, 0).charge_cpu(0.0, "delta_commit");
-  FsClient(fs, 0).charge_cpu(0.0, "dedup", 4096);
-  FsClient(fs, 0).charge_cpu(0.0, "delta_commit");
-  FsClient(fs, 0).charge_cpu(0.0, "dedup", 1024);
-  FsClient(fs, 0).charge_cpu(0.125, "restore_chain", 0, 7);
+  FsClient(fs, 0).charge_cpu(0.0, fsim::OpTag::delta_commit);
+  FsClient(fs, 0).charge_cpu(0.0, fsim::OpTag::dedup, 4096);
+  FsClient(fs, 0).charge_cpu(0.0, fsim::OpTag::delta_commit);
+  FsClient(fs, 0).charge_cpu(0.0, fsim::OpTag::dedup, 1024);
+  FsClient(fs, 0).charge_cpu(0.125, fsim::OpTag::restore_chain, 0, 7);
   auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
   auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
   EXPECT_EQ(log.job.delta_epochs, 2u);

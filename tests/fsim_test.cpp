@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <numeric>
 #include <thread>
 
@@ -31,6 +32,70 @@ TEST(ObjectStore, PathHelpers) {
   EXPECT_EQ(parent_path("a/b/c"), "a/b");
   EXPECT_EQ(parent_path("a"), "");
   EXPECT_EQ(base_name("x/y/data.0"), "data.0");
+}
+
+TEST(ObjectStore, NonCanonicalPathsResolveThroughTheIndex) {
+  ObjectStore store(4);
+  const FileId a = store.create_file("run/a.dat").id;
+  EXPECT_EQ(canonical_path("/run//a.dat/"), "run/a.dat");
+  EXPECT_EQ(canonical_path("/"), "");
+  EXPECT_EQ(store.file("/run//a.dat/").id, a);
+  EXPECT_TRUE(store.file_exists("run//a.dat"));
+  // Created under a non-canonical spelling: found under the canonical one,
+  // and the node keeps the spelling it was created with.
+  const FileNode& b = store.create_file("/run//b.dat/");
+  EXPECT_EQ(store.file("run/b.dat").id, b.id);
+  EXPECT_EQ(b.path, "/run//b.dat/");
+  EXPECT_THROW(store.create_file("run/b.dat"), IoError);
+  EXPECT_THROW(store.file("run/c.dat"), IoError);
+}
+
+TEST(ObjectStore, RenameOverAnExistingFileRelinksTheName) {
+  ObjectStore store(4);
+  const FileId tmp = store.create_file("ck/MANIFEST.tmp").id;
+  const FileId old = store.create_file("ck/MANIFEST").id;
+  store.rename("ck/MANIFEST.tmp", "ck/MANIFEST");
+  EXPECT_FALSE(store.file_exists("ck/MANIFEST.tmp"));
+  EXPECT_THROW(store.file("ck/MANIFEST.tmp"), IoError);
+  EXPECT_EQ(store.file("ck/MANIFEST").id, tmp);
+  EXPECT_EQ(store.file_by_id(tmp).path, "ck/MANIFEST");
+  // The replaced node stays resolvable by id (replay), not by name.
+  EXPECT_EQ(store.file_by_id(old).id, old);
+  const auto listed = store.list_recursive("ck");
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0]->id, tmp);
+  EXPECT_THROW(store.rename("ck/missing", "ck/x"), IoError);
+}
+
+TEST(ObjectStore, UnlinkThenRecreateResolvesTheNewFile) {
+  ObjectStore store(4);
+  const FileId first = store.create_file("d/f").id;
+  store.unlink("d/f");
+  EXPECT_FALSE(store.file_exists("d/f"));
+  EXPECT_THROW(store.file("d/f"), IoError);
+  EXPECT_THROW(store.unlink("d/f"), IoError);
+  const FileId second = store.create_file("d/f").id;
+  EXPECT_NE(second, first);
+  EXPECT_EQ(store.file("d/f").id, second);
+}
+
+TEST(ObjectStore, DirectoriesAndTheRootAreNotFiles) {
+  ObjectStore store(4);
+  store.create_file("d/sub/f");
+  EXPECT_FALSE(store.file_exists("d"));
+  EXPECT_FALSE(store.file_exists("d/sub/"));
+  EXPECT_TRUE(store.dir_exists("d/sub"));
+  EXPECT_FALSE(store.file_exists(""));
+  EXPECT_FALSE(store.file_exists("/"));
+  EXPECT_TRUE(store.dir_exists(""));
+  EXPECT_THROW(store.create_file("d/sub"), IoError);  // is a directory
+  EXPECT_THROW(store.create_file("d/sub/f/g"), IoError);  // under a file
+  SharedFs fs(2);
+  FsClient client(fs, 0);
+  client.mkdir("out");
+  EXPECT_TRUE(client.exists(""));  // the root directory
+  EXPECT_TRUE(client.exists("out"));
+  EXPECT_FALSE(client.exists("out/none"));
 }
 
 TEST(ObjectStore, CreateWriteReadBack) {
@@ -202,14 +267,23 @@ TEST(PosixFs, GetstripeTextLooksLikeListing1) {
   EXPECT_NE(text.find("obdidx"), std::string::npos);
 }
 
+TEST(PosixFs, TraceOpStaysCompact) {
+  static_assert(sizeof(TraceOp) <= 56);
+  SharedFs fs(1);
+  FsClient widest(fs, 0, UINT16_MAX);  // the widest lane still fits
+  widest.charge_cpu(0.0, OpTag::compute);
+  EXPECT_EQ(fs.trace().back().lane, UINT16_MAX);
+  EXPECT_THROW(FsClient(fs, 0, UINT16_MAX + 1u), UsageError);
+}
+
 TEST(PosixFs, CpuChargeAppearsInTrace) {
   SharedFs fs(4);
   FsClient client(fs, 2);
-  client.charge_cpu(0.25, "compress");
+  client.charge_cpu(0.25, OpTag::compress);
   ASSERT_EQ(fs.trace().size(), 1u);
   EXPECT_EQ(fs.trace()[0].kind, OpKind::cpu);
   EXPECT_DOUBLE_EQ(fs.trace()[0].cpu_seconds, 0.25);
-  EXPECT_EQ(fs.trace()[0].tag, "compress");
+  EXPECT_EQ(fs.trace()[0].tag, OpTag::compress);
 }
 
 // ------------------------------------------------------------------- DES ---
@@ -367,8 +441,8 @@ TEST(Replay, ConcurrentWritersContendOnOneOst) {
 TEST(Replay, CpuOpsChargeOnlyTheClient) {
   SharedFs fs(1);
   FsClient a(fs, 0), b(fs, 1);
-  a.charge_cpu(1.0, "compress");
-  b.charge_cpu(0.5, "memcopy");
+  a.charge_cpu(1.0, OpTag::compress);
+  b.charge_cpu(0.5, OpTag::memcopy);
   auto report = replay_trace(flat_profile(), fs.store(), fs.trace(), 2);
   EXPECT_DOUBLE_EQ(report.clients[0].cpu, 1.0);
   EXPECT_DOUBLE_EQ(report.clients[1].cpu, 0.5);
@@ -377,10 +451,39 @@ TEST(Replay, CpuOpsChargeOnlyTheClient) {
   EXPECT_DOUBLE_EQ(report.makespan, 1.0);
 }
 
+TEST(Replay, EveryTagRoundTripsThroughItsName) {
+  // tag_name() is a bijection onto non-empty names (OpTag::none aside),
+  // and a cpu op charged under each enumerator is reported under its name
+  // — including zero-second charges.
+  std::map<std::string, OpTag> by_name;
+  for (std::size_t t = 0; t < kOpTagCount; ++t) {
+    const OpTag tag = OpTag(t);
+    const std::string name = tag_name(tag);
+    EXPECT_NE(name, "?");
+    EXPECT_EQ(name.empty(), tag == OpTag::none);
+    EXPECT_TRUE(by_name.emplace(name, tag).second) << "duplicate " << name;
+  }
+  EXPECT_EQ(tag_name(kShmGatherTag), std::string("shm_gather"));
+  EXPECT_EQ(tag_name(kNetGatherTag), std::string("net_gather"));
+  EXPECT_EQ(tag_name(kBatchDoorbellTag), std::string("doorbell"));
+
+  SharedFs fs(1);
+  FsClient client(fs, 0);
+  for (std::size_t t = 1; t < kOpTagCount; ++t)
+    client.charge_cpu(t % 2 ? 0.0 : 0.001 * double(t), OpTag(t));
+  const auto report = replay_trace(flat_profile(), fs.store(), fs.trace(), 1);
+  ASSERT_EQ(report.cpu_by_tag.size(), kOpTagCount - 1);
+  for (const auto& [name, seconds] : report.cpu_by_tag) {
+    ASSERT_TRUE(by_name.count(name)) << name;
+    const std::size_t t = std::size_t(by_name.at(name));
+    EXPECT_EQ(seconds, t % 2 ? 0.0 : 0.001 * double(t)) << name;
+  }
+}
+
 TEST(Replay, ValidatesInput) {
   SharedFs fs(1);
   FsClient client(fs, 5);
-  client.charge_cpu(0.1, "x");
+  client.charge_cpu(0.1, OpTag::compute);
   EXPECT_THROW(replay_trace(flat_profile(), fs.store(), fs.trace(), 2),
                UsageError);
   EXPECT_THROW(replay_trace(flat_profile(), fs.store(), {}, 0), UsageError);
@@ -509,7 +612,7 @@ TEST(QueuePair, VectoredBatchPersistsAndTracesOneDoorbell) {
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].tag, kBatchDoorbellTag);
   EXPECT_EQ(ops[0].op_count, 1u);
-  EXPECT_TRUE(ops[1].tag.empty());
+  EXPECT_EQ(ops[1].tag, OpTag::none);
 }
 
 TEST(QueuePair, CoalescesAdjacentSqesIntoVectoredRecords) {

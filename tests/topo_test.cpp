@@ -211,7 +211,7 @@ std::map<std::string, std::vector<std::uint8_t>> container_bytes(
   return bytes;
 }
 
-int count_xfer(const fsim::SharedFs& fs, const char* tag) {
+int count_xfer(const fsim::SharedFs& fs, fsim::OpTag tag) {
   int n = 0;
   for (const auto& op : fs.trace())
     if (op.kind == fsim::OpKind::xfer && op.tag == tag) ++n;
