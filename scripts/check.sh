@@ -40,10 +40,17 @@
 #                          the frozen reference replay) and Darshan capture
 #                          (ctest -L fsim), then the same label under
 #                          ASan+UBSan (ctest --preset san-fsim)
-#  10. full test suite     default preset, all labels (includes the `perf`
+#  10. picmc suite         PIC kernels against their analytic solutions and,
+#                          bit for bit, against frozen copies of the
+#                          straightforward loops (picmc_diff_test: every
+#                          wall mode, Bz, field solver, elastic scattering,
+#                          the exact collision early-out; ctest -L picmc),
+#                          then the same label under ASan+UBSan (ctest
+#                          --preset san-picmc)
+#  11. full test suite     default preset, all labels (includes the `perf`
 #                          smoke test; the full codec sweep is
 #                          scripts/bench_report.sh -> BENCH_codecs.json)
-#  11. perfbench smoke     the end-to-end benchmark (perfbench/, declared
+#  12. perfbench smoke     the end-to-end benchmark (perfbench/, declared
 #                          in BENCHMARK.json) at tiny sizes: every workload
 #                          untraced and traced, every metric printed with
 #                          its unit, every correctness check passing
@@ -103,6 +110,12 @@ ctest --preset fsim
 
 step "storage simulator suite under ASan+UBSan (ctest --preset san-fsim)"
 ctest --preset san-fsim
+
+step "PIC kernel suite (ctest -L picmc)"
+ctest --preset picmc
+
+step "PIC kernel suite under ASan+UBSan (ctest --preset san-picmc)"
+ctest --preset san-picmc
 
 step "full test suite"
 ctest --preset default

@@ -12,6 +12,7 @@
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/hash64.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bitio::bp {
 
@@ -37,9 +38,14 @@ constexpr double kWarmCopyFactor = 2.0;
 /// staged-copy bandwidth.  Fig 8's "warm-copy factor" for these chunks.
 constexpr double kZeroCopyFactor = 4.0;
 
-/// Reserve for a fresh per-aggregator aggregation buffer; after the first
-/// step the buffer comes back from the pool with its grown capacity.
-constexpr std::size_t kAggInitialReserve = 64 * 1024;
+/// Real steps carrying fewer raw bytes than this encode on the caller: a
+/// fork/join costs more than it saves on a few small chunks.
+constexpr std::size_t kParallelEncodeMinBytes = 256 * 1024;
+
+/// Chunks below this size ride along in an encode wave without counting
+/// towards its width (a checkpoint interleaves each species' five particle
+/// arrays with a few one-element records).
+constexpr std::size_t kEncodeWaveChunkBytes = 64 * 1024;
 
 /// Submit everything pushed into `sq` and surface any failed completion as
 /// the IoError a per-op pwrite would have thrown, so the drain retry and
@@ -418,26 +424,92 @@ void Writer::add_attribute(const std::string& name, AttrValue value) {
   attributes_.emplace_back(name, std::move(value));
 }
 
-void Writer::compute_stats(const PendingChunk& chunk, Datatype dtype,
-                           ChunkRecord& meta) {
-  const std::span<const std::uint8_t> payload = chunk.payload();
+void Writer::compute_stats(std::span<const std::uint8_t> payload,
+                           Datatype dtype, double& lo, double& hi) {
   switch (dtype) {
-    case Datatype::uint8:
-      minmax<std::uint8_t>(payload, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::int32:
-      minmax<std::int32_t>(payload, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::uint64:
-      minmax<std::uint64_t>(payload, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::float32:
-      minmax<float>(payload, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::float64:
-      minmax<double>(payload, meta.stat_min, meta.stat_max);
-      break;
+    case Datatype::uint8: minmax<std::uint8_t>(payload, lo, hi); break;
+    case Datatype::int32: minmax<std::int32_t>(payload, lo, hi); break;
+    case Datatype::uint64: minmax<std::uint64_t>(payload, lo, hi); break;
+    case Datatype::float32: minmax<float>(payload, lo, hi); break;
+    case Datatype::float64: minmax<double>(payload, lo, hi); break;
   }
+}
+
+std::vector<Writer::EncodedChunk> Writer::encode_real_step(
+    const StepJob& job, std::vector<std::vector<std::uint8_t>>& agg) {
+  // The chunks in rank-major order — the order their frames are appended
+  // in — and each aggregator's worst-case byte count.
+  struct Ref {
+    const PendingChunk* chunk;
+    Datatype dtype;
+    std::size_t aggregator;
+  };
+  std::vector<Ref> refs;
+  std::vector<std::size_t> reserve(agg.size(), 0);
+  std::size_t raw_total = 0;
+  for (int rank = 0; rank < nranks_; ++rank) {
+    const std::size_t a = std::size_t(aggregator_of(rank));
+    for (const PendingChunk& chunk : job.chunks[std::size_t(rank)]) {
+      const std::size_t n = chunk.payload().size();
+      refs.push_back({&chunk, job.vars[chunk.var].dtype, a});
+      reserve[a] += codec_ ? codec_->max_frame_size(n) : n;
+      raw_total += n;
+    }
+  }
+  // One acquire per aggregator at its final size: appends never regrow
+  // the buffer, and steady-state steps are pool hits.
+  for (std::size_t a = 0; a < agg.size(); ++a)
+    if (reserve[a] > 0) agg[a] = buffer_pool_.acquire_reserve(reserve[a]);
+
+  // Encode in waves of `width` chunks (small chunks ride along): each
+  // chunk's frame, CRC32C, statistics and content hash depend on that chunk
+  // alone, so a wave's chunks run in parallel; the wave's frames are then
+  // appended in order and released at once.  Which frames are live
+  // together depends on the chunk sizes only, never on the schedule.
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  const std::size_t width =
+      raw_total >= kParallelEncodeMinBytes ? std::size_t(pool.workers()) + 1
+                                           : 1;
+  std::vector<EncodedChunk> encoded(refs.size());
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t first = 0, count = 0; first < refs.size();
+       first += count) {
+    count = 0;
+    for (std::size_t large = 0; first + count < refs.size() && large < width;
+         ++count)
+      if (width == 1 || refs[first + count].chunk->payload().size() >=
+                            kEncodeWaveChunkBytes)
+        ++large;
+    if (frames.size() < count) frames.resize(count);
+    touch_heartbeat();
+    pool.parallel_for(count, int(width), [&](std::size_t i) {
+      const Ref& ref = refs[first + i];
+      const std::span<const std::uint8_t> payload = ref.chunk->payload();
+      std::span<const std::uint8_t> stored = payload;
+      if (codec_) {
+        std::vector<std::uint8_t>& frame = frames[i];
+        frame = buffer_pool_.acquire_reserve(
+            codec_->max_frame_size(payload.size()));
+        codec_->compress_append(payload, frame);
+        stored = frame;
+      }
+      EncodedChunk& e = encoded[first + i];
+      e.stored_bytes = stored.size();
+      e.crc = crc32c(stored);
+      compute_stats(payload, ref.dtype, e.stat_min, e.stat_max);
+      e.content_hash = util::hash64(payload);
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      const Ref& ref = refs[first + i];
+      std::vector<std::uint8_t>& dst = agg[ref.aggregator];
+      const std::span<const std::uint8_t> stored =
+          codec_ ? std::span<const std::uint8_t>(frames[i])
+                 : ref.chunk->payload();
+      dst.insert(dst.end(), stored.begin(), stored.end());
+      buffer_pool_.release(std::move(frames[i]));
+    }
+  }
+  return encoded;
 }
 
 void Writer::end_step() {
@@ -484,14 +556,13 @@ void Writer::drain_step(const StepJob& job) {
   std::vector<std::size_t> var_slot(job.vars.size(), kUnseen);
 
   // Aggregation buffers (real payloads) and size counters (synthetic),
-  // one per subfile.  Real steps draw the buffers from the pool — after
-  // the first step each comes back with its grown capacity, so appends
-  // below never allocate.
+  // one per subfile.  A real step marshals every chunk up front; the loop
+  // below then only records what each chunk produced.
   std::vector<std::vector<std::uint8_t>> agg(
       static_cast<std::size_t>(num_aggregators_));
-  if (job.kind == 1)
-    for (auto& buffer : agg)
-      buffer = buffer_pool_.acquire_reserve(kAggInitialReserve);
+  std::vector<EncodedChunk> encoded;
+  if (job.kind == 1) encoded = encode_real_step(job, agg);
+  std::size_t next_encoded = 0;  // rank-major index into `encoded`
   std::vector<std::uint64_t> agg_bytes(
       static_cast<std::size_t>(num_aggregators_), 0);
   // Queue-pair path: one sqe per marshalled chunk extent (the natural unit
@@ -546,15 +617,16 @@ void Writer::drain_step(const StepJob& job) {
           chunk.synthetic ? element_count(chunk.count) * dtype_size(info.dtype)
                           : chunk.payload().size();
       if (chunk.is_borrowed()) ++zero_copy_chunks_total_;
+      const EncodedChunk* enc =
+          chunk.synthetic ? nullptr : &encoded[next_encoded++];
       std::uint64_t stored_size = 0;
       std::string operator_name;
       std::uint32_t chunk_crc = 0;
       bool chunk_has_crc = false;
       if (codec_) {
-        // Operator path: compress_append() straight into the aggregation
-        // buffer — no intermediate frame vector, no copy; charge the
-        // compression cost, no separate memcopy (Fig 8).  The charge is
-        // parallel wall time when compress_threads > 1.
+        // Operator path: the frame went into the aggregation buffer; charge
+        // the compression cost, no separate memcopy (Fig 8).  The charge
+        // is parallel wall time when compress_threads > 1.
         operator_name = codec_->name();
         const double seconds = compress_cpu_seconds(raw_bytes);
         rank_compress_s += seconds;
@@ -566,12 +638,8 @@ void Writer::drain_step(const StepJob& job) {
           stored_size = std::uint64_t(double(raw_bytes) *
                                       config_.synthetic_codec_ratio);
         } else {
-          std::vector<std::uint8_t>& dst = agg[std::size_t(a)];
-          const std::size_t start = dst.size();
-          codec_->compress_append(chunk.payload(), dst);
-          stored_size = dst.size() - start;
-          chunk_crc = crc32c(std::span<const std::uint8_t>(
-              dst.data() + start, std::size_t(stored_size)));
+          stored_size = enc->stored_bytes;
+          chunk_crc = enc->crc;
           chunk_has_crc = true;
         }
       } else {
@@ -591,11 +659,8 @@ void Writer::drain_step(const StepJob& job) {
           memcopy_us_total_ += seconds * 1e6;
         stored_size = raw_bytes;
         if (!chunk.synthetic) {
-          const auto payload = chunk.payload();
-          chunk_crc = crc32c(payload);
+          chunk_crc = enc->crc;
           chunk_has_crc = true;
-          agg[std::size_t(a)].insert(agg[std::size_t(a)].end(),
-                                     payload.begin(), payload.end());
         }
       }
       if (chunk_has_crc) {
@@ -610,7 +675,10 @@ void Writer::drain_step(const StepJob& job) {
       ChunkRecord meta;
       meta.offset = chunk.offset;
       meta.count = chunk.count;
-      if (!chunk.synthetic) compute_stats(chunk, info.dtype, meta);
+      if (enc != nullptr) {
+        meta.stat_min = enc->stat_min;
+        meta.stat_max = enc->stat_max;
+      }
       meta.writer_rank = std::uint32_t(rank);
       meta.subfile = std::uint32_t(a);
       meta.file_offset =
@@ -620,10 +688,10 @@ void Writer::drain_step(const StepJob& job) {
       meta.operator_name = operator_name;
       meta.crc32c = chunk_crc;
       meta.has_crc = chunk_has_crc;
-      if (!chunk.synthetic) {
+      if (enc != nullptr) {
         // Content identity over the raw bytes (format v6): the dedup key
         // the incremental-checkpoint layer compares across epochs.
-        meta.content_hash = util::hash64(chunk.payload());
+        meta.content_hash = enc->content_hash;
         meta.has_content_hash = true;
       }
       var.chunks.push_back(std::move(meta));

@@ -355,8 +355,24 @@ private:
   /// rank placement.  Returns a trivial single-node mapper for inputs the
   /// constructor body is about to reject anyway.
   static topo::Mapper build_mapper(const EngineConfig& config, int nranks);
-  static void compute_stats(const PendingChunk& chunk, Datatype dtype,
-                            ChunkRecord& meta);
+  static void compute_stats(std::span<const std::uint8_t> payload,
+                            Datatype dtype, double& lo, double& hi);
+
+  /// What marshalling one real chunk produced: everything that depends on
+  /// the chunk alone, so chunks encode in parallel (encode_real_step).
+  struct EncodedChunk {
+    std::uint64_t stored_bytes = 0;
+    std::uint32_t crc = 0;  // CRC32C of the stored bytes
+    double stat_min = 0.0, stat_max = 0.0;
+    std::uint64_t content_hash = 0;  // FNV-1a 64 of the raw bytes
+  };
+
+  /// Marshal a real step's chunks into the per-aggregator buffers `agg`,
+  /// each sized once from the codec's worst-case frame bounds: chunks are
+  /// encoded in parallel on the shared thread pool and appended in
+  /// rank-major order.  Returns the per-chunk results in that order.
+  std::vector<EncodedChunk> encode_real_step(
+      const StepJob& job, std::vector<std::vector<std::uint8_t>>& agg);
   int leader_of(int aggregator) const;
   void drain_step(const StepJob& job);
   void drain_job_with_retries(const StepJob& job) EXCLUDES(drain_mutex_);

@@ -23,9 +23,13 @@ public:
 
   Bytes compress(ByteSpan input) const override {
     Bytes out;
-    out.reserve(input.size() + 12);
+    out.reserve(max_frame_size(input.size()));
     compress_append(input, out);
     return out;
+  }
+
+  std::size_t max_frame_size(std::size_t input_size) const override {
+    return input_size + 12;  // magic + u64 size + the bytes
   }
 
   void compress_append(ByteSpan input, Bytes& out) const override {
@@ -60,12 +64,17 @@ public:
 
   Bytes compress(ByteSpan input) const override {
     Bytes out;
-    // Full worst-case bound (raw fallback caps every chunk at raw size plus
-    // headers, and the LZ stage transiently needs its own bound): one
-    // allocation, no mid-frame reallocation/copy.
-    out.reserve(input.size() + input.size() / 255 + 13 * (input.size() / kChunk + 1) + 32);
+    out.reserve(max_frame_size(input.size()));  // one allocation, no regrowth
     compress_append(input, out);
     return out;
+  }
+
+  std::size_t max_frame_size(std::size_t input_size) const override {
+    // The raw fallback caps every finished chunk at its raw size plus a
+    // 9-byte header (17-byte frame header); the LZ stage transiently needs
+    // its own bound (n + n/255 + 16) for the chunk in flight.
+    return input_size + input_size / 255 + 13 * (input_size / kChunk + 1) +
+           32;
   }
 
   void compress_append(ByteSpan input, Bytes& out) const override {
@@ -214,6 +223,15 @@ public:
     Bytes out;
     compress_append(input, out);
     return out;
+  }
+
+  std::size_t max_frame_size(std::size_t input_size) const override {
+    // The body is staged in full before the raw fallback can roll it back:
+    // per block a 12-byte header plus the Huffman stream (6-byte header,
+    // 129-byte length table, at most 15 bits per symbol and one symbol per
+    // byte), after the 17-byte frame header.
+    const std::size_t nblocks = (input_size + kBlock - 1) / kBlock;
+    return 17 + 2 * input_size + 148 * nblocks;
   }
 
   void compress_append(ByteSpan input, Bytes& out) const override {

@@ -44,6 +44,17 @@ public:
     out.insert(out.end(), frame.begin(), frame.end());
   }
 
+  /// Worst-case bytes compress_append() adds to `out` for an input of
+  /// `input_size` bytes, counting what the encoder stages in `out`
+  /// mid-frame, not only the finished frame: a buffer with that much spare
+  /// capacity never reallocates.  The default fits codecs that fall back to
+  /// a raw frame and stage at most input_size / 128 + 64 bytes beyond the
+  /// input (the LZ family, and wrappers that forward to one); codecs that
+  /// stage more define their own.
+  virtual std::size_t max_frame_size(std::size_t input_size) const {
+    return input_size + input_size / 128 + 64;
+  }
+
   /// Inverse of compress().  Throws FormatError on a corrupt frame.
   virtual Bytes decompress(ByteSpan frame) const = 0;
 

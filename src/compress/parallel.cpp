@@ -121,7 +121,8 @@ void ParallelCodec::compress_append(ByteSpan input, Bytes& out) const {
   // byte-identical to the serial path (determinism guarantee).
   std::vector<Bytes> parts(nblocks);
   pool_->parallel_for(nblocks, threads_, [&](std::size_t b) {
-    Bytes scratch = buffers_->acquire_reserve(block_bytes_ / 2 + 64);
+    Bytes scratch =
+        buffers_->acquire_reserve(inner_->max_frame_size(block_bytes_));
     inner_->compress_append(block_span(b), scratch);
     parts[b] = std::move(scratch);
   });
@@ -132,10 +133,21 @@ void ParallelCodec::compress_append(ByteSpan input, Bytes& out) const {
   }
 }
 
+std::size_t ParallelCodec::max_frame_size(std::size_t input_size) const {
+  const std::size_t nblocks = block_count(input_size);
+  std::size_t bound = 21 + 4 * nblocks;  // magic, version, sizes, table
+  if (nblocks > 0) {
+    const std::size_t last = input_size - (nblocks - 1) * block_bytes_;
+    bound += (nblocks - 1) * inner_->max_frame_size(block_bytes_) +
+             inner_->max_frame_size(last);
+  }
+  return bound;
+}
+
 Bytes ParallelCodec::compress(ByteSpan input) const {
   Bytes out;
   // Worst-case bound, so the serial path never reallocates mid-frame.
-  out.reserve(input.size() + input.size() / 128 + 64);
+  out.reserve(max_frame_size(input.size()));
   compress_append(input, out);
   return out;
 }

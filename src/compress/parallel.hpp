@@ -54,6 +54,9 @@ class ParallelCodec final : public Codec {
   Bytes compress(ByteSpan input) const override;
   void compress_append(ByteSpan input, Bytes& out) const override;
 
+  /// The CZP1 header and block table plus each block's inner bound.
+  std::size_t max_frame_size(std::size_t input_size) const override;
+
   /// Handles CZP1 and legacy frames alike (see decompress_frame).
   Bytes decompress(ByteSpan frame) const override;
 

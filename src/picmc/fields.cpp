@@ -87,8 +87,7 @@ void electric_field(const Grid1D& grid, std::span<const double> phi,
 double gather(const Grid1D& grid, std::span<const double> field, double x) {
   if (field.size() != grid.nnodes())
     throw UsageError("gather: field size != nnodes");
-  const auto [i, frac] = grid.locate(x);
-  return field[i] * (1.0 - frac) + field[i + 1] * frac;
+  return grid.interpolate(field.data(), x);
 }
 
 }  // namespace bitio::picmc

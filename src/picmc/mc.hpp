@@ -23,6 +23,12 @@
 
 namespace bitio::picmc {
 
+/// The collision decision both channels share: true when a particle with
+/// collision exponent a = -n R dt and uniform draw u does not collide —
+/// exactly `u >= 1.0 - std::exp(a)`, decided without exp for most misses
+/// (the argument is in mc.cpp and DESIGN.md §11).
+bool collision_miss(double a, double u);
+
 struct IonizationParams {
   double rate_coefficient = 1e-3;  // R in dn/dt = -n n_e R
   double dt = 0.1;
@@ -36,7 +42,7 @@ struct IonizationResult {
 
 /// Apply one ionization step: neutrals may convert into (ion, electron)
 /// pairs.  `electron_density` is the node-centered n_e used for the local
-/// collision probability.
+/// collision probability.  The three buffers must be distinct.
 IonizationResult ionize(const Grid1D& grid,
                         std::span<const double> electron_density,
                         ParticleBuffer& neutrals, ParticleBuffer& ions,

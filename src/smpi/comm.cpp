@@ -11,9 +11,10 @@ namespace detail {
 
 World::World(int size)
     : size_(size),
-      slots_(std::size_t(std::max(size, 0))),
+      exchanges_(std::size_t(std::max(size, 0)), 0),
       failed_(std::size_t(std::max(size, 0))) {
   if (size <= 0) throw UsageError("smpi: world size must be positive");
+  slots_.fill(std::vector<std::vector<std::byte>>(std::size_t(size)));
 }
 
 void World::throw_if_unusable_locked() const {
@@ -46,20 +47,26 @@ void World::exchange(
     int rank, std::vector<std::byte> contribution,
     const std::function<void(const std::vector<std::vector<std::byte>>&)>&
         reader) {
+  // One hand-off per collective: the slot table is double-buffered by the
+  // parity of this rank's exchange count.  A rank can publish into parity
+  // p again only in the exchange after next, i.e. after passing the next
+  // exchange's barrier — which every rank reaches only once it has
+  // finished reading parity p — so no second "everyone has read" barrier
+  // is needed.
+  std::size_t parity;
   {
     util::MutexLock lock(mutex_);
-    slots_[std::size_t(rank)] = std::move(contribution);
+    // A rank that already knows a peer failed must not overwrite a slot a
+    // survivor of the aborted exchange may still be reading.
+    throw_if_unusable_locked();
+    parity = std::size_t(exchanges_[std::size_t(rank)]++ & 1u);
+    slots_[parity][std::size_t(rank)] = std::move(contribution);
   }
   barrier();  // everyone has published
-  {
-    // The read must hold the lock: a rank thrown out of the publish barrier
-    // by a failure (poisoned generation) can re-enter a *new* exchange and
-    // overwrite its slot while slower survivors of this one are still
-    // reading — the two barriers only serialize ranks that stay healthy.
-    util::MutexLock lock(mutex_);
-    reader(slots_);
-  }
-  barrier();  // everyone has read
+  // The read holds the lock: the barrier only orders ranks that stay
+  // healthy, and the slot tables are mutex state.
+  util::MutexLock lock(mutex_);
+  reader(slots_[parity]);
 }
 
 void World::send(int from, int to, std::vector<std::byte> payload) {

@@ -11,9 +11,9 @@
 // Design notes (LLNL MPI tutorial model): all parallelism is explicit, data
 // moves between rank-private address spaces only through these cooperative
 // operations.  Rank bodies must not share mutable state other than through
-// the Comm.  Collectives are implemented with a shared slot table plus a
-// generation barrier, giving deterministic results independent of thread
-// scheduling.
+// the Comm.  Collectives are implemented with a double-buffered slot table
+// plus one generation barrier per call, giving deterministic results
+// independent of thread scheduling.
 //
 // Failure semantics (ULFM model): a rank that dies mid-run (its body throws
 // RankFailure, driven by FaultPlan::rank_crash) is *marked failed* in the
@@ -25,6 +25,7 @@
 // it re-enters rank bodies on the shrunken communicator with a
 // RecoveryContext describing what happened.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -87,8 +88,9 @@ public:
   void barrier();
 
   /// Publish this rank's contribution, wait for everyone, call `reader`
-  /// with the full slot table, then wait again so no rank can start the
-  /// next collective while another is still reading.
+  /// with the full slot table.  One barrier per call: the slot table is
+  /// double-buffered, so a rank starting the next collective publishes into
+  /// the other table while slower ranks are still reading this one.
   void exchange(
       int rank, std::vector<std::byte> contribution,
       const std::function<void(const std::vector<std::vector<std::byte>>&)>&
@@ -149,11 +151,12 @@ private:
   util::CondVar cv_;
   int arrived_ GUARDED_BY(mutex_) = 0;
   std::uint64_t generation_ GUARDED_BY(mutex_) = 0;
-  // Collective slot table.  Written by each rank as it arrives; read by
-  // every rank between the publish and read barriers of exchange(), under
-  // the lock (a rank thrown out of a poisoned barrier may re-enter a new
-  // exchange and publish while slower survivors are still reading).
-  std::vector<std::vector<std::byte>> slots_ GUARDED_BY(mutex_);
+  // Collective slot tables, double-buffered by the parity of each rank's
+  // exchange count (exchanges_).  Written by each rank as it arrives; read
+  // by every rank after the publish barrier of exchange(), under the lock.
+  std::array<std::vector<std::vector<std::byte>>, 2> slots_
+      GUARDED_BY(mutex_);
+  std::vector<std::uint64_t> exchanges_ GUARDED_BY(mutex_);
 
   // Failure state.  The flags are atomic so the mailbox path (guarded by
   // mail_mutex_) can read them without taking mutex_.

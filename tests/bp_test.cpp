@@ -2,6 +2,7 @@
 // end-to-end, aggregation mapping, operators, steps, and failure detection.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "bp/reader.hpp"
@@ -13,6 +14,8 @@
 #include "fsim/system_profiles.hpp"
 #include "smpi/comm.hpp"
 #include "util/error.hpp"
+#include "util/hash64.hpp"
+#include "util/rng.hpp"
 #include "util/toml.hpp"
 
 namespace bitio::bp {
@@ -1179,6 +1182,160 @@ TEST(BpAsync, DrainLanesInTraceAndReplay) {
   const auto sync_replay =
       fsim::replay_trace(fsim::dardel(), sync_fs.store(), sync_fs.trace(), 4);
   EXPECT_DOUBLE_EQ(sync_replay.mean_drain_time(), 0.0);
+}
+
+
+// ------------------------------------------------------ real-step marshal ---
+
+/// One seeded real step of 15 chunks from 2 ranks into one aggregator:
+/// float64 random walks (which Blosc compresses), float32 noise (stored
+/// raw), uint64 counts, int32 indices, bytes, one-element chunks, chunks
+/// past Blosc's 256 KiB internal chunk, staged and borrowed puts.  Returns
+/// a digest of every container file, profiling.json included.
+std::uint64_t marshal_digest(EngineConfig config, const std::string& path) {
+  config.num_aggregators = 1;
+  config.ranks_per_node = 2;
+  config.profiling = true;
+  fsim::SharedFs fs(8);
+  Rng rng(15);
+  struct Put {
+    int rank;
+    std::string name;
+    Datatype dtype;
+    std::uint64_t shape, offset, count;
+  };
+  const std::vector<Put> puts{
+      {0, "walk", Datatype::float64, 100000, 0, 40000},
+      {1, "walk", Datatype::float64, 100000, 40000, 9000},
+      {1, "noise", Datatype::float32, 90000, 70000, 20000},
+      {0, "walk", Datatype::float64, 100000, 49000, 1},
+      {0, "noise", Datatype::float32, 90000, 0, 70000},
+      {1, "walk", Datatype::float64, 100000, 49001, 50999},
+      {0, "count", Datatype::uint64, 3000, 0, 1000},
+      {1, "count", Datatype::uint64, 3000, 1000, 1000},
+      {1, "index", Datatype::int32, 5000, 0, 2500},
+      {0, "count", Datatype::uint64, 3000, 2000, 1000},
+      {0, "index", Datatype::int32, 5000, 2500, 2500},
+      {0, "mask", Datatype::uint8, 20000, 0, 10000},
+      {1, "mask", Datatype::uint8, 20000, 10000, 10000},
+      {1, "energy", Datatype::float64, 2, 1, 1},
+      {0, "energy", Datatype::float64, 2, 0, 1},
+  };
+  // Payloads stay alive until close(): borrowed puts read them at drain.
+  std::vector<std::vector<std::uint8_t>> payloads;
+  double walk = 0.0;
+  for (const Put& put : puts) {
+    std::vector<std::uint8_t> bytes(put.count * dtype_size(put.dtype));
+    for (std::uint64_t i = 0; i < put.count; ++i) {
+      std::uint8_t* at = bytes.data() + i * dtype_size(put.dtype);
+      switch (put.dtype) {
+        case Datatype::float64: {
+          walk += 0.01 * rng.normal();
+          std::memcpy(at, &walk, 8);
+          break;
+        }
+        case Datatype::float32: {
+          const float v = float(rng.uniform());
+          std::memcpy(at, &v, 4);
+          break;
+        }
+        case Datatype::uint64: {
+          const std::uint64_t v = (put.offset + i) * 3 + rng.below(2);
+          std::memcpy(at, &v, 8);
+          break;
+        }
+        case Datatype::int32: {
+          const std::int32_t v =
+              std::int32_t((put.offset + i) * 7 % 1001) - 500;
+          std::memcpy(at, &v, 4);
+          break;
+        }
+        case Datatype::uint8:
+          *at = std::uint8_t(rng.below(4));
+          break;
+      }
+    }
+    payloads.push_back(std::move(bytes));
+  }
+  {
+    Writer writer = Writer::open(fs, path, config, 2);
+    writer.begin_step(7);
+    for (std::size_t k = 0; k < puts.size(); ++k) {
+      const Put& put = puts[k];
+      const ChunkView view(put.dtype, payloads[k], {put.offset}, {put.count});
+      if (k % 2 == 1)
+        writer.put_borrowed(put.rank, put.name, {put.shape}, view);
+      else
+        writer.put(put.rank, put.name, {put.shape}, view);
+    }
+    writer.add_attribute("time", AttrValue(0.5));
+    writer.end_step();
+    writer.close();
+  }
+  fsim::FsClient io(fs, 0);
+  std::vector<std::uint8_t> all;
+  for (const char* name : {"data.0", "md.0", "md.idx", "profiling.json"}) {
+    const auto bytes = io.read_all(path + "/" + name);
+    all.insert(all.end(), name, name + std::strlen(name));
+    all.insert(all.end(), bytes.begin(), bytes.end());
+  }
+  return util::hash64(all);
+}
+
+TEST(BpMarshal, RealStepContainerBytesArePinned) {
+  // Digests taken from the writer that compressed each chunk straight into
+  // a 64 KiB aggregation buffer, serially: the sized, parallel-encoded
+  // marshalling must produce the same container bytes.
+  struct Pin {
+    const char* codec;
+    int threads;
+    bool async;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"blosc", 1, false, 0x266aefbf899b7554ull},
+      {"none", 1, false, 0x7951a81283834bc0ull},
+      {"blosc", 2, false, 0xa84384318320828bull},
+      // profiling.json records the async drain: a different digest.
+      {"blosc", 2, true, 0x544cb46e7d6e46f8ull},
+  };
+  for (const Pin& pin : pins) {
+    EngineConfig config;
+    config.codec = pin.codec;
+    config.compress_threads = pin.threads;
+    config.compress_block_kb = 64;  // several CZP1 blocks per large chunk
+    config.async_write = pin.async;
+    const std::uint64_t digest = marshal_digest(config, "pin.bp4");
+    EXPECT_EQ(digest, pin.digest)
+        << pin.codec << " threads=" << pin.threads << " async=" << pin.async
+        << " digest 0x" << std::hex << digest;
+  }
+}
+
+TEST(BpMarshal, GrowingStepWithinSizeClassMissesNoPoolBuffer) {
+  // Aggregation buffers are sized once per real step from the codecs'
+  // worst-case frame bounds, so after one warm-up step a step whose
+  // payload grows but stays inside the same pool size classes is served
+  // entirely from the freelists: no aggregation-buffer regrowth, no miss.
+  fsim::SharedFs fs(8);
+  auto config = small_config(1, "blosc");
+  config.ranks_per_node = 2;
+  Writer writer = Writer::open(fs, "grow.bp4", config, 2);
+  auto put_step = [&](std::uint64_t step, std::size_t n) {
+    std::vector<float> smooth(n);
+    for (std::size_t i = 0; i < n; ++i) smooth[i] = float(i) * 0.001f;
+    writer.begin_step(step);
+    writer.put<float>(0, "x", {2 * n}, {0}, {n}, smooth);
+    writer.put<float>(1, "x", {2 * n}, {n}, {n}, smooth);
+    writer.end_step();
+  };
+  put_step(0, 40000);  // 160 000 B per chunk: the 256 KiB class
+  writer.reset_pool_stats();
+  put_step(1, 50000);  // 200 000 B per chunk: still the 256 KiB class
+  const auto stats = writer.pool_stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u) << "hits=" << stats.hits;
+  writer.close();
 }
 
 }  // namespace

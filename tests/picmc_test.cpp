@@ -110,6 +110,23 @@ TEST(Fields, GatherInterpolatesLinearly) {
   EXPECT_NEAR(gather(grid, f, 1.0), 4.0, 1e-12);  // right edge clamps
 }
 
+TEST(Fields, LocateLeftEdgeClamps) {
+  // Below x0 - dx and for NaN the cell index clamps to the first cell (the
+  // unsigned conversion of a negative index would be undefined); the
+  // weight keeps extrapolating linearly, like the right edge.
+  Grid1D grid(0.0, 1.0, 4);
+  std::vector<double> f{0.0, 1.0, 2.0, 3.0, 4.0};
+  EXPECT_EQ(grid.locate(-0.1).first, 0u);  // within one cell: as before
+  EXPECT_EQ(grid.locate(-0.5).first, 0u);
+  EXPECT_EQ(grid.locate(-1e300).first, 0u);
+  EXPECT_EQ(grid.locate(std::nan("")).first, 0u);
+  EXPECT_EQ(grid.locate(1e300).first, 3u);
+  EXPECT_EQ(grid.locate(INFINITY).first, 3u);
+  EXPECT_NEAR(gather(grid, f, -0.5), -2.0, 1e-12);
+  EXPECT_NEAR(gather(grid, f, -0.1), -0.4, 1e-12);
+  EXPECT_TRUE(std::isnan(gather(grid, f, std::nan(""))));
+}
+
 // ----------------------------------------------------------------- mover ---
 
 TEST(Mover, ConstantFieldKinematics) {
