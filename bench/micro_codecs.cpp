@@ -16,7 +16,7 @@
 #include "bp/format.hpp"
 #include "compress/codec.hpp"
 #include "compress/parallel.hpp"
-#include "compress/reference.hpp"
+#include "frozen/compress_reference.hpp"
 #include "compress/shuffle.hpp"
 #include "util/crc32c.hpp"
 #include "util/json.hpp"

@@ -47,10 +47,15 @@
 #                          the exact collision early-out; ctest -L picmc),
 #                          then the same label under ASan+UBSan (ctest
 #                          --preset san-picmc)
-#  11. full test suite     default preset, all labels (includes the `perf`
+#  11. codec + bp suites   under ASan+UBSan, where undefined behaviour
+#      under sanitizers    aborts the test (-fno-sanitize-recover): the
+#                          codec kernels (ctest --preset san-compress) and
+#                          the bp container engines, every drain mode
+#                          included (ctest --preset san-bp)
+#  12. full test suite     default preset, all labels (includes the `perf`
 #                          smoke test; the full codec sweep is
 #                          scripts/bench_report.sh -> BENCH_codecs.json)
-#  12. perfbench smoke     the end-to-end benchmark (perfbench/, declared
+#  13. perfbench smoke     the end-to-end benchmark (perfbench/, declared
 #                          in BENCHMARK.json) at tiny sizes: every workload
 #                          untraced and traced, every metric printed with
 #                          its unit, every correctness check passing
@@ -116,6 +121,12 @@ ctest --preset picmc
 
 step "PIC kernel suite under ASan+UBSan (ctest --preset san-picmc)"
 ctest --preset san-picmc
+
+step "codec suite under ASan+UBSan (ctest --preset san-compress)"
+ctest --preset san-compress
+
+step "bp engine suite under ASan+UBSan (ctest --preset san-bp)"
+ctest --preset san-bp
 
 step "full test suite"
 ctest --preset default

@@ -125,9 +125,6 @@ class FileEngine final : public Engine {
     return std::make_unique<FileEngineReader>(fs_, client, writer_.path());
   }
 
-  /// The underlying writer, for call sites migrating incrementally.
-  Writer& writer() { return writer_; }
-
  private:
   fsim::SharedFs& fs_;
   std::string name_;

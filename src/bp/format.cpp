@@ -31,6 +31,15 @@ std::pair<std::string, AttrValue> decode_attr(BinReader& reader) {
   }
 }
 
+/// A version magic as its four characters ("MD06"), for errors.
+std::string magic_name(std::uint32_t magic) {
+  std::string name = "\"????\"";
+  for (std::size_t i = 0; i < 4; ++i)
+    if (const char c = char(magic >> (24 - 8 * i)); c >= ' ' && c <= '~')
+      name[i + 1] = c;
+  return name;
+}
+
 /// Bytes encode_step() writes for `record`, so its buffer is sized once.
 std::size_t encoded_step_size(const StepRecord& record) {
   auto dims_size = [](const Dims& d) { return 4 + 8 * d.size(); };
@@ -91,19 +100,13 @@ std::vector<std::uint8_t> encode_step(const StepRecord& record) {
 StepRecord decode_step(std::span<const std::uint8_t> data) {
   if (data.size() < 4) throw FormatError("bp: truncated step metadata");
   const std::uint32_t magic = BinReader(data).u32();
-  if (magic != kMdMagic && magic != kMdMagicV5 && magic != kMdMagicV6)
-    throw FormatError("bp: bad step metadata magic (unknown format version)");
-  const bool v6 = magic == kMdMagicV6;
-  const bool v5 = magic == kMdMagicV5 || v6;
-
-  std::span<const std::uint8_t> body = data;
-  if (v5) {
-    if (data.size() < 8) throw FormatError("bp: truncated step metadata");
-    const std::uint32_t stored = BinReader(data.last(4)).u32();
-    if (crc32c(data.first(data.size() - 4)) != stored)
-      throw FormatError("bp: step metadata CRC mismatch");
-    body = data.first(data.size() - 4);
-  }
+  if (magic != kMdMagicV6)
+    throw FormatError("bp: bad step metadata magic " + magic_name(magic) +
+                      " (unknown format version)");
+  if (data.size() < 8) throw FormatError("bp: truncated step metadata");
+  const std::span<const std::uint8_t> body = data.first(data.size() - 4);
+  if (crc32c(body) != BinReader(data.last(4)).u32())
+    throw FormatError("bp: step metadata CRC mismatch");
 
   BinReader reader(body);
   reader.u32();  // magic, validated above
@@ -133,14 +136,10 @@ StepRecord decode_step(std::span<const std::uint8_t> data) {
       chunk.operator_name = reader.str();
       chunk.stat_min = reader.f64();
       chunk.stat_max = reader.f64();
-      if (v5) {
-        chunk.has_crc = reader.u8() != 0;
-        chunk.crc32c = reader.u32();
-      }
-      if (v6) {
-        chunk.has_content_hash = reader.u8() != 0;
-        chunk.content_hash = reader.u64();
-      }
+      chunk.has_crc = reader.u8() != 0;
+      chunk.crc32c = reader.u32();
+      chunk.has_content_hash = reader.u8() != 0;
+      chunk.content_hash = reader.u64();
       var.chunks.push_back(std::move(chunk));
     }
     record.variables.push_back(std::move(var));
@@ -169,12 +168,11 @@ std::vector<std::uint8_t> encode_index(const std::vector<IndexEntry>& index) {
 std::vector<IndexEntry> decode_index(std::span<const std::uint8_t> data) {
   BinReader reader(data);
   const std::uint32_t magic = reader.u32();
-  if (magic != kIdxMagic && magic != kIdxMagicV5)
-    throw FormatError("bp: bad md.idx magic (unknown format version)");
-  const bool v5 = magic == kIdxMagicV5;
+  if (magic != kIdxMagicV5)
+    throw FormatError("bp: bad md.idx magic " + magic_name(magic) +
+                      " (unknown format version)");
   const std::uint32_t n = reader.u32();
-  const std::size_t entry_bytes = v5 ? kIdxEntryBytesV5 : kIdxEntryBytes;
-  if (reader.remaining() != std::size_t(n) * entry_bytes)
+  if (reader.remaining() != std::size_t(n) * kIdxEntryBytesV5)
     throw FormatError("bp: md.idx size mismatch");
   std::vector<IndexEntry> index;
   index.reserve(n);
@@ -183,11 +181,8 @@ std::vector<IndexEntry> decode_index(std::span<const std::uint8_t> data) {
     e.step = reader.u64();
     e.md_offset = reader.u64();
     e.md_length = reader.u64();
-    if (v5) {
-      e.md_crc = reader.u32();
-      reader.u32();  // reserved
-      e.has_crc = true;
-    }
+    e.md_crc = reader.u32();
+    reader.u32();  // reserved
     index.push_back(e);
   }
   return index;

@@ -5,22 +5,23 @@
 // failure mode the paper reports — corrupted output files beyond 20k ranks —
 // must be *detectable* here).
 //
-// Three on-disk versions coexist:
-//   v4 ("MD04"/"IDX4")  the original layout, no checksums; still readable.
-//   v5 ("MD05"/"IDX5")  every chunk record carries the CRC32C of its stored
-//       bytes, every step-metadata block ends in its own CRC32C, and every
-//       index entry repeats the CRC of the metadata block it points at.  A
-//       torn or bit-flipped write anywhere in the container is therefore
-//       detectable on read.
-//   v6 ("MD06")  adds a per-chunk FNV-1a content hash of the raw bytes (the
-//       dedup key of incremental checkpoints) and a *footer index* appended
-//       to the end of md.0 at close: the complete step records followed by a
-//       fixed-size trailer ("FTR6") pointing back at them.  A reader that
-//       finds a valid trailer opens the container from the footer alone —
-//       O(1) seeks, no md.idx/md.0 scan; a missing, torn, or corrupt footer
-//       falls back to the v5 scan path (md.idx entries never point into the
-//       footer region, so the scan ignores it).
-// Any other magic is a wrong-version/corrupt input and raises FormatError.
+// One on-disk version is written and read:
+//   md.0  "MD06" step-metadata blocks: every chunk record carries the CRC32C
+//       of its stored bytes and an FNV-1a content hash of its raw bytes (the
+//       dedup key of incremental checkpoints); every block ends in its own
+//       CRC32C.
+//   md.idx  "IDX5": a header and fixed-size entries, each repeating the CRC
+//       of the metadata block it points at.  A torn or bit-flipped write
+//       anywhere in the container is therefore detectable on read.
+//   footer  "FTR6": at close, the complete step records are appended to
+//       md.0 followed by a fixed-size trailer pointing back at them.  A
+//       reader that finds a valid trailer opens the container from the
+//       footer alone — O(1) seeks, no md.idx/md.0 scan; a missing (mid-run
+//       attach via publish_index), torn, or corrupt footer falls back to the
+//       scan path (md.idx entries never point into the footer region, so
+//       the scan ignores it).
+// The v4 ("MD04"/"IDX4") and v5 ("MD05") metadata of earlier writers are no
+// longer readable: like any other magic they raise FormatError.
 
 #include <span>
 
@@ -28,12 +29,8 @@
 
 namespace bitio::bp {
 
-inline constexpr std::uint32_t kMdMagic = 0x4D443034;     // "MD04" (legacy)
-inline constexpr std::uint32_t kIdxMagic = 0x49445834;    // "IDX4" (legacy)
-inline constexpr std::uint32_t kIdxEntryBytes = 24;       // v4 record size
-inline constexpr std::uint32_t kMdMagicV5 = 0x4D443035;   // "MD05"
 inline constexpr std::uint32_t kIdxMagicV5 = 0x49445835;  // "IDX5"
-inline constexpr std::uint32_t kIdxEntryBytesV5 = 32;     // v5 record size
+inline constexpr std::uint32_t kIdxEntryBytesV5 = 32;     // entry size
 inline constexpr std::uint32_t kMdMagicV6 = 0x4D443036;   // "MD06"
 inline constexpr std::uint32_t kFtrMagic = 0x46545236;    // "FTR6"
 /// Fixed-size footer trailer at the very end of md.0:
@@ -43,12 +40,12 @@ inline constexpr std::uint32_t kFtrTrailerBytes = 24;
 /// Serialize one step's metadata (appended to md.0).  Writes v6: chunk CRCs
 /// and content hashes plus a trailing CRC32C over the whole block.
 std::vector<std::uint8_t> encode_step(const StepRecord& record);
-/// Parse one step's metadata (v4, v5 or v6; v5+ blocks are CRC-verified).
-/// Throws FormatError on corruption or an unknown version magic.
+/// Parse one CRC-verified v6 step-metadata block.  Throws FormatError on
+/// corruption or any other version magic.
 StepRecord decode_step(std::span<const std::uint8_t> data);
 
 /// Serialize/parse the whole md.idx file (header + fixed-size entries).
-/// encode writes v5; decode accepts v4 and v5.
+/// Both speak IDX5 only.
 std::vector<std::uint8_t> encode_index(const std::vector<IndexEntry>& index);
 std::vector<IndexEntry> decode_index(std::span<const std::uint8_t> data);
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "bp/chunk.hpp"
 #include "compress/codec.hpp"
 #include "compress/parallel.hpp"
 #include "util/binio.hpp"
@@ -26,9 +27,9 @@ Reader::Reader(ForEngineFactory, fsim::SharedFs& fs, fsim::ClientId client,
       throw FormatError("bp::Reader: md.idx points past md.0");
     const std::span<const std::uint8_t> slice(md_bytes.data() + entry.md_offset,
                                               entry.md_length);
-    // v5 index entries repeat the metadata block's CRC: cross-check the
-    // md.0 slice against md.idx before parsing a byte of it.
-    if (entry.has_crc && crc32c(slice) != entry.md_crc)
+    // Index entries repeat the metadata block's CRC: cross-check the md.0
+    // slice against md.idx before parsing a byte of it.
+    if (crc32c(slice) != entry.md_crc)
       throw FormatError(
           "bp::Reader: step metadata CRC mismatch between md.idx/md.0");
     StepRecord record = decode_step(slice);
@@ -39,9 +40,9 @@ Reader::Reader(ForEngineFactory, fsim::SharedFs& fs, fsim::ClientId client,
 }
 
 bool Reader::try_open_footer(fsim::FsClient& io) {
-  // Every failure mode here — no footer yet (pre-v6 container or mid-run
-  // attach), torn tail, bit-flipped footer — degrades to the scan path
-  // instead of failing the open; the scan then delivers its own verdicts.
+  // Every failure mode here — no footer yet (mid-run attach), torn tail,
+  // bit-flipped footer — degrades to the scan path instead of failing the
+  // open; the scan then delivers its own verdicts.
   try {
     const std::string md_path = path_ + "/md.0";
     if (!io.exists(md_path)) return false;
@@ -137,10 +138,7 @@ std::vector<std::uint8_t> Reader::read_chunk(std::uint64_t step,
                      std::to_string(step));
   const std::size_t elem = dtype_size(var->dtype);
   fsim::FsClient io(fs_, client_);
-  std::vector<std::uint8_t> raw = fetch_chunk(io, name, *chunk, elem);
-  if (raw.size() != element_count(chunk->count) * elem)
-    throw FormatError("bp::Reader: chunk payload size mismatch");
-  return raw;
+  return fetch_chunk(io, name, *chunk, elem);
 }
 
 std::vector<std::uint8_t> Reader::read_slice(std::uint64_t step,
@@ -166,9 +164,7 @@ std::vector<std::uint8_t> Reader::read_slice(std::uint64_t step,
     const std::uint64_t lo = std::max(c_begin, elem_offset);
     const std::uint64_t hi = std::min(c_end, elem_offset + elem_count);
     if (lo >= hi) continue;  // no overlap: this chunk is never read
-    std::vector<std::uint8_t> raw = fetch_chunk(io, name, chunk, elem);
-    if (raw.size() != element_count(chunk.count) * elem)
-      throw FormatError("bp::Reader: chunk payload size mismatch");
+    const std::vector<std::uint8_t> raw = fetch_chunk(io, name, chunk, elem);
     std::memcpy(out.data() + (lo - elem_offset) * elem,
                 raw.data() + (lo - c_begin) * elem, (hi - lo) * elem);
   }
@@ -179,34 +175,42 @@ std::vector<std::uint8_t> Reader::fetch_chunk(fsim::FsClient& io,
                                               const std::string& name,
                                               const ChunkRecord& chunk,
                                               std::size_t elem) {
-  // Fetch the stored bytes.
-  const std::string subfile =
-      path_ + "/data." + std::to_string(chunk.subfile);
-  const int fd = io.open(subfile, fsim::OpenMode::read);
-  std::vector<std::uint8_t> stored(chunk.stored_bytes);
-  const std::uint64_t got = io.pread(fd, chunk.file_offset, stored);
-  io.close(fd);
-  if (got != chunk.stored_bytes)
-    throw FormatError("bp::Reader: short read of chunk in " + subfile);
+  std::vector<std::uint8_t> stored;
+  if (!read_stored(io, chunk, stored))
+    throw FormatError("bp::Reader: short read of chunk in " + path_ +
+                      "/data." + std::to_string(chunk.subfile));
   // Verify the stored bytes before decompressing/scattering them.
   if (chunk.has_crc && crc32c(stored) != chunk.crc32c)
     throw FormatError("bp::Reader: chunk CRC mismatch for '" + name +
-                      "' in " + subfile);
+                      "' in " + path_ + "/data." +
+                      std::to_string(chunk.subfile));
 
   std::vector<std::uint8_t> raw;
   if (chunk.operator_name.empty()) {
     raw = std::move(stored);
   } else {
-    // Dispatch on the frame magic: handles both legacy single-block
-    // frames and the CZP1 block-parallel container a writer with
-    // compress_threads > 1 produces.  The named codec still supplies the
-    // modelled decompression speed.
+    // Dispatch on the frame magic: handles both single-block frames and
+    // the CZP1 block-parallel container a writer with compress_threads > 1
+    // produces.  The named codec still supplies the modelled decompression
+    // speed.
     auto codec = cz::make_codec(chunk.operator_name, elem);
     raw = cz::decompress_frame(stored);
     io.charge_cpu(double(raw.size()) / codec->decompress_speed_bps(),
                   fsim::OpTag::decompress);
   }
+  if (raw.size() != element_count(chunk.count) * elem)
+    throw FormatError("bp::Reader: chunk payload size mismatch");
   return raw;
+}
+
+bool Reader::read_stored(fsim::FsClient& io, const ChunkRecord& chunk,
+                         std::vector<std::uint8_t>& stored) {
+  const int fd = io.open(path_ + "/data." + std::to_string(chunk.subfile),
+                         fsim::OpenMode::read);
+  stored.resize(chunk.stored_bytes);
+  const std::uint64_t got = io.pread(fd, chunk.file_offset, stored);
+  io.close(fd);
+  return got == chunk.stored_bytes;
 }
 
 std::vector<std::uint8_t> Reader::read(std::uint64_t step,
@@ -220,39 +224,8 @@ std::vector<std::uint8_t> Reader::read(std::uint64_t step,
 
   fsim::FsClient io(fs_, client_);
   for (const auto& chunk : var->chunks) {
-    std::vector<std::uint8_t> raw = fetch_chunk(io, name, chunk, elem);
-    if (raw.size() != element_count(chunk.count) * elem)
-      throw FormatError("bp::Reader: chunk payload size mismatch");
-
-    // Scatter the chunk into the global array.  Iterate over the chunk's
-    // rows in the slowest dimensions; each row of `count.back()` elements
-    // is contiguous in both source and destination.
-    const std::size_t ndim = var->shape.size();
-    if (ndim == 0) {
-      std::memcpy(out.data(), raw.data(), raw.size());
-      continue;
-    }
-    // Strides of the global array (in elements).
-    std::vector<std::uint64_t> stride(ndim, 1);
-    for (std::size_t d = ndim - 1; d-- > 0;)
-      stride[d] = stride[d + 1] * var->shape[d + 1];
-    const std::uint64_t row_elems = chunk.count.back();
-    std::uint64_t rows = 1;
-    for (std::size_t d = 0; d + 1 < ndim; ++d) rows *= chunk.count[d];
-
-    std::vector<std::uint64_t> cursor(ndim, 0);  // index within the chunk
-    for (std::uint64_t r = 0; r < rows; ++r) {
-      std::uint64_t dst = 0;
-      for (std::size_t d = 0; d < ndim; ++d)
-        dst += (chunk.offset[d] + cursor[d]) * stride[d];
-      std::memcpy(out.data() + dst * elem,
-                  raw.data() + r * row_elems * elem, row_elems * elem);
-      // Advance the row cursor (last dimension is the contiguous row).
-      for (std::size_t d = ndim - 1; d-- > 0;) {
-        if (++cursor[d] < chunk.count[d]) break;
-        cursor[d] = 0;
-      }
-    }
+    scatter_chunk(fetch_chunk(io, name, chunk, elem), chunk, var->shape, elem,
+                  out);
   }
   return out;
 }
@@ -274,13 +247,8 @@ std::vector<Reader::ChunkVerdict> Reader::verify() {
           verdicts.push_back(std::move(verdict));
           continue;
         }
-        const std::string subfile =
-            path_ + "/data." + std::to_string(chunk.subfile);
-        const int fd = io.open(subfile, fsim::OpenMode::read);
-        std::vector<std::uint8_t> stored(chunk.stored_bytes);
-        const std::uint64_t got = io.pread(fd, chunk.file_offset, stored);
-        io.close(fd);
-        if (got != chunk.stored_bytes)
+        std::vector<std::uint8_t> stored;
+        if (!read_stored(io, chunk, stored))
           verdict.status = ChunkVerdict::Status::short_read;
         else if (crc32c(stored) != chunk.crc32c)
           verdict.status = ChunkVerdict::Status::crc_mismatch;

@@ -15,9 +15,9 @@
 // Open path: a closed v6 container ends md.0 with a footer index (every
 // step record + a fixed trailer), so open() costs O(1) seeks — stat, read
 // the trailer, read the footer — regardless of how many steps the file
-// holds.  Containers without a footer (pre-v6, or still being written and
-// attached mid-run via publish_index) and containers whose footer is torn
-// or corrupt fall back transparently to the md.idx + md.0 scan path;
+// holds.  Containers without a footer (still being written and attached
+// mid-run via publish_index) and containers whose footer is torn or
+// corrupt fall back transparently to the md.idx + md.0 scan path;
 // used_footer_index() reports which path satisfied the open.
 
 #include <cstring>
@@ -70,9 +70,9 @@ public:
   /// rather than the md.idx + md.0 scan path.
   bool used_footer_index() const { return footer_used_; }
 
-  /// Read and reassemble the full global array of a variable.  Chunks whose
-  /// metadata carries a CRC (format v5) are verified; a mismatch raises
-  /// FormatError.  Use verify() for a non-throwing per-chunk report.
+  /// Read and reassemble the full global array of a variable.  Every real
+  /// chunk is CRC-verified; a mismatch raises FormatError.  Use verify()
+  /// for a non-throwing per-chunk report.
   std::vector<std::uint8_t> read(std::uint64_t step, const std::string& name);
 
   /// Read one writer rank's chunk of a variable: exactly one data-subfile
@@ -97,7 +97,7 @@ public:
   struct ChunkVerdict {
     enum class Status {
       ok,            // CRC present and matching
-      no_crc,        // legacy v4 or synthetic chunk: nothing to check
+      no_crc,        // synthetic (size-only) chunk: nothing to check
       short_read,    // stored extent missing bytes (torn write)
       crc_mismatch,  // bytes present but corrupt (bit flip)
     };
@@ -137,16 +137,20 @@ public:
 private:
   /// O(1) open: read the trailer at the end of md.0, CRC-verify the footer
   /// it points at, and decode every step record from it.  Returns false —
-  /// leaving steps_ empty — when there is no valid footer (pre-v6
-  /// container, mid-run attach, torn/corrupt tail); the constructor then
+  /// leaving steps_ empty — when there is no valid footer (mid-run
+  /// attach, torn/corrupt tail); the constructor then
   /// falls back to the scan path.
   bool try_open_footer(fsim::FsClient& io);
   /// Fetch one chunk's raw bytes: pread the stored extent, verify its CRC,
-  /// undo the operator.  Throws FormatError on short read/CRC mismatch.
+  /// undo the operator, check the size.  Throws FormatError on a short
+  /// read, CRC mismatch or size mismatch.
   std::vector<std::uint8_t> fetch_chunk(fsim::FsClient& io,
                                         const std::string& name,
                                         const ChunkRecord& chunk,
                                         std::size_t elem);
+  /// pread a chunk's stored extent into `stored`; false on a short read.
+  bool read_stored(fsim::FsClient& io, const ChunkRecord& chunk,
+                   std::vector<std::uint8_t>& stored);
 
   fsim::SharedFs& fs_;
   fsim::ClientId client_;

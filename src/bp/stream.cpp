@@ -3,75 +3,27 @@
 #include <algorithm>
 #include <cstring>
 
+#include "bp/chunk.hpp"
 #include "compress/parallel.hpp"
-#include "fsim/storage_model.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace bitio::bp {
 
-namespace {
-
-// Same modelled CRC32C bandwidth as the file engines (writer.cpp).
-constexpr double kCrcBandwidthBps = 12e9;
-
-template <typename T>
-void minmax(std::span<const std::uint8_t> bytes, double& lo, double& hi) {
-  const std::size_t n = bytes.size() / sizeof(T);
-  if (n == 0) return;
-  const T* p = reinterpret_cast<const T*>(bytes.data());
-  T mn = p[0], mx = p[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    mn = std::min(mn, p[i]);
-    mx = std::max(mx, p[i]);
-  }
-  lo = double(mn);
-  hi = double(mx);
-}
-
-void compute_stats(Datatype dtype, std::span<const std::uint8_t> bytes,
-                   ChunkRecord& meta) {
-  switch (dtype) {
-    case Datatype::uint8:
-      minmax<std::uint8_t>(bytes, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::int32:
-      minmax<std::int32_t>(bytes, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::uint64:
-      minmax<std::uint64_t>(bytes, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::float32:
-      minmax<float>(bytes, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::float64:
-      minmax<double>(bytes, meta.stat_min, meta.stat_max);
-      break;
-  }
-}
-
-}  // namespace
-
 // --- decode ----------------------------------------------------------------
 
 std::vector<std::uint8_t> decode_stream_variable(const StreamStep& step,
                                                  const std::string& name) {
-  const VarRecord* var = nullptr;
-  std::size_t var_index = 0;
-  for (std::size_t v = 0; v < step.record.variables.size(); ++v) {
-    if (step.record.variables[v].name == name) {
-      var = &step.record.variables[v];
-      var_index = v;
-      break;
-    }
-  }
-  if (!var)
+  const auto& vars = step.record.variables;
+  const auto var = std::find_if(vars.begin(), vars.end(),
+                                [&](const auto& v) { return v.name == name; });
+  if (var == vars.end())
     throw UsageError("bp::stream: no variable '" + name + "' in step " +
                      std::to_string(step.record.step));
 
   const std::size_t elem = dtype_size(var->dtype);
   std::vector<std::uint8_t> out(element_count(var->shape) * elem, 0);
-  const auto& payloads = step.payload.at(var_index);
+  const auto& payloads = step.payload.at(std::size_t(var - vars.begin()));
 
   for (std::size_t c = 0; c < var->chunks.size(); ++c) {
     const ChunkRecord& chunk = var->chunks[c];
@@ -81,44 +33,15 @@ std::vector<std::uint8_t> decode_stream_variable(const StreamStep& step,
       throw FormatError("bp::stream: chunk CRC mismatch for '" + name +
                         "' in step " + std::to_string(step.record.step));
 
-    std::vector<std::uint8_t> raw;
-    if (chunk.operator_name.empty()) {
-      raw = stored;
-    } else {
-      // Frames are self-framing (RAW1/BLL1/BZL1/CZP1): decompress_frame
-      // dispatches on the magic, same as bp::Reader.
-      raw = cz::decompress_frame(stored);
-    }
+    // Frames are self-framing (RAW1/BLL1/BZL1/CZP1): decompress_frame
+    // dispatches on the magic, same as bp::Reader.
+    const std::vector<std::uint8_t> raw =
+        chunk.operator_name.empty() ? stored : cz::decompress_frame(stored);
     if (raw.size() != element_count(chunk.count) * elem)
       throw FormatError("bp::stream: chunk payload size mismatch for '" +
                         name + "'");
 
-    // Scatter into the global array — the same row-major walk as
-    // bp::Reader::read().
-    const std::size_t ndim = var->shape.size();
-    if (ndim == 0) {
-      std::memcpy(out.data(), raw.data(), raw.size());
-      continue;
-    }
-    std::vector<std::uint64_t> stride(ndim, 1);
-    for (std::size_t d = ndim - 1; d-- > 0;)
-      stride[d] = stride[d + 1] * var->shape[d + 1];
-    const std::uint64_t row_elems = chunk.count.back();
-    std::uint64_t rows = 1;
-    for (std::size_t d = 0; d + 1 < ndim; ++d) rows *= chunk.count[d];
-
-    std::vector<std::uint64_t> cursor(ndim, 0);
-    for (std::uint64_t r = 0; r < rows; ++r) {
-      std::uint64_t dst = 0;
-      for (std::size_t d = 0; d < ndim; ++d)
-        dst += (chunk.offset[d] + cursor[d]) * stride[d];
-      std::memcpy(out.data() + dst * elem, raw.data() + r * row_elems * elem,
-                  row_elems * elem);
-      for (std::size_t d = ndim - 1; d-- > 0;) {
-        if (++cursor[d] < chunk.count[d]) break;
-        cursor[d] = 0;
-      }
-    }
+    scatter_chunk(raw, chunk, var->shape, elem, out);
   }
   return out;
 }
@@ -275,16 +198,6 @@ int StreamChannel::peak_depth() const {
   return peak_depth_;
 }
 
-std::size_t StreamChannel::consumers() const {
-  util::MutexLock lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& [id, cursor] : cursors_) {
-    (void)id;
-    if (!cursor.detached && !cursor.disconnected) ++n;
-  }
-  return n;
-}
-
 // --- StreamEngine ----------------------------------------------------------
 
 StreamEngine::StreamEngine(fsim::SharedFs& fs, std::string path,
@@ -298,18 +211,7 @@ StreamEngine::StreamEngine(fsim::SharedFs& fs, std::string path,
     throw UsageError("bp::StreamEngine: nranks must be positive");
   if (config_.stream_max_steps < 1)
     throw UsageError("bp::StreamEngine: stream_max_steps must be >= 1");
-  if (config_.compress_threads < 1)
-    throw UsageError("bp::StreamEngine: compress_threads must be >= 1");
-  if (config_.compress_block_kb < 1)
-    throw UsageError("bp::StreamEngine: compress_block_kb must be >= 1");
-  if (config_.codec != "none" && !config_.codec.empty()) {
-    codec_ = cz::make_codec(config_.codec, config_.codec_typesize);
-    if (config_.compress_threads > 1) {
-      codec_ = std::make_unique<cz::ParallelCodec>(
-          std::move(codec_), config_.compress_threads,
-          config_.compress_block_kb * 1024, nullptr, &buffer_pool_);
-    }
-  }
+  codec_ = make_chunk_codec("bp::StreamEngine", config_, buffer_pool_);
   channel_ = std::make_shared<StreamChannel>(config_.stream_max_steps,
                                              policy_);
 }
@@ -328,42 +230,38 @@ void StreamEngine::begin_step(std::uint64_t step) {
   if (step_open_) throw UsageError("bp::StreamEngine: step already open");
   step_open_ = true;
   current_step_ = step;
-  step_kind_ = 0;
+  step_payload_ = StepPayload::none;
   pending_.clear();
   attributes_.clear();
 }
 
-void StreamEngine::validate_put(int rank, const std::string& name,
-                                Datatype dtype, const Dims& shape,
-                                const Dims& offset, const Dims& count) {
+StreamEngine::PendingVar& StreamEngine::pending_var(
+    int rank, const std::string& name, Datatype dtype, const Dims& shape,
+    const Dims& offset, const Dims& count, StepPayload payload) {
   if (!step_open_)
     throw UsageError("bp::StreamEngine: put outside a step");
-  if (rank < 0 || rank >= nranks_)
-    throw UsageError("bp::StreamEngine: rank out of range");
-  if (shape.size() != offset.size() || shape.size() != count.size())
-    throw UsageError("bp::StreamEngine: dimension rank mismatch for '" +
+  check_put("bp::StreamEngine", rank, nranks_, name, shape, offset, count);
+  auto it = std::find_if(pending_.begin(), pending_.end(),
+                         [&](const auto& v) { return v.record.name == name; });
+  if (it != pending_.end() &&
+      (it->record.dtype != dtype || it->record.shape != shape))
+    throw UsageError("bp::StreamEngine: inconsistent shape/dtype for '" +
                      name + "'");
-  for (std::size_t d = 0; d < shape.size(); ++d) {
-    if (offset[d] + count[d] > shape[d])
-      throw UsageError("bp::StreamEngine: chunk of '" + name +
-                       "' exceeds global shape");
-  }
-  for (const auto& var : pending_) {
-    if (var.record.name != name) continue;
-    if (var.record.dtype != dtype || var.record.shape != shape)
-      throw UsageError("bp::StreamEngine: inconsistent shape/dtype for '" +
-                       name + "'");
-    return;
-  }
+  note_payload("bp::StreamEngine", step_payload_, payload);
+  if (it != pending_.end()) return *it;
+  PendingVar& var = pending_.emplace_back();
+  var.record.name = name;
+  var.record.dtype = dtype;
+  var.record.shape = shape;
+  return var;
 }
 
 void StreamEngine::put(int rank, const std::string& name, const Dims& shape,
                        const ChunkView& view) {
   util::MutexLock lock(mutex_);
-  validate_put(rank, name, view.dtype(), shape, view.offset(), view.count());
-  if (step_kind_ == 2)
-    throw UsageError("bp::StreamEngine: cannot mix real and synthetic puts");
-  step_kind_ = 1;
+  PendingVar& var = pending_var(rank, name, view.dtype(), shape,
+                                view.offset(), view.count(),
+                                StepPayload::real);
 
   // Marshal under the lock (the codec and pool are shared): compress into
   // a recycled pool buffer and CRC32C-stamp the stored bytes, exactly the
@@ -373,22 +271,10 @@ void StreamEngine::put(int rank, const std::string& name, const Dims& shape,
   double compress_s = 0.0;
   if (codec_) {
     operator_name = codec_->name();
-    stored = buffer_pool_.acquire_reserve(view.bytes().size() + 64);
+    stored = buffer_pool_.acquire_reserve(
+        codec_->max_frame_size(view.bytes().size()));
     codec_->compress_append(view.bytes(), stored);
-    const double serial =
-        double(view.bytes().size()) / codec_->compress_speed_bps();
-    if (config_.compress_threads > 1) {
-      const std::uint64_t block =
-          std::uint64_t(config_.compress_block_kb) * 1024;
-      const std::uint64_t nblocks =
-          view.bytes().empty()
-              ? 0
-              : (view.bytes().size() + block - 1) / block;
-      compress_s = fsim::parallel_cpu_seconds(
-          serial, config_.compress_threads, nblocks);
-    } else {
-      compress_s = serial;
-    }
+    compress_s = compress_cpu_seconds(*codec_, config_, view.bytes().size());
   } else {
     stored = buffer_pool_.acquire(view.bytes().size());
     if (!view.bytes().empty())
@@ -404,7 +290,7 @@ void StreamEngine::put(int rank, const std::string& name, const Dims& shape,
   meta.operator_name = operator_name;
   meta.crc32c = crc32c(stored);
   meta.has_crc = true;
-  compute_stats(view.dtype(), view.bytes(), meta);
+  compute_stats(view.bytes(), view.dtype(), meta.stat_min, meta.stat_max);
 
   // Charge the marshalling cost to the putting rank's critical path, same
   // accounting as the synchronous file engines.
@@ -412,56 +298,20 @@ void StreamEngine::put(int rank, const std::string& name, const Dims& shape,
   if (compress_s > 0.0) client.charge_cpu(compress_s, fsim::OpTag::compress);
   client.charge_cpu(double(stored.size()) / kCrcBandwidthBps,
                     fsim::OpTag::crc32c);
-
-  for (auto& var : pending_) {
-    if (var.record.name != name) continue;
-    var.record.chunks.push_back(std::move(meta));
-    var.payload.push_back(std::move(stored));
-    return;
-  }
-  PendingVar var;
-  var.record.name = name;
-  var.record.dtype = view.dtype();
-  var.record.shape = shape;
   var.record.chunks.push_back(std::move(meta));
   var.payload.push_back(std::move(stored));
-  pending_.push_back(std::move(var));
 }
 
 void StreamEngine::put_synthetic(int rank, const std::string& name,
                                  Datatype dtype, const Dims& shape,
                                  const Dims& offset, const Dims& count) {
   util::MutexLock lock(mutex_);
-  validate_put(rank, name, dtype, shape, offset, count);
-  if (step_kind_ == 1)
-    throw UsageError("bp::StreamEngine: cannot mix real and synthetic puts");
-  step_kind_ = 2;
-
-  ChunkRecord meta;
-  meta.offset = offset;
-  meta.count = count;
+  PendingVar& var = pending_var(rank, name, dtype, shape, offset, count,
+                                StepPayload::synthetic);
+  ChunkRecord& meta = var.record.chunks.emplace_back(synthetic_chunk(
+      offset, count, dtype, codec_.get(), config_.synthetic_codec_ratio));
   meta.writer_rank = std::uint32_t(rank);
-  meta.raw_bytes = element_count(count) * dtype_size(dtype);
-  meta.stored_bytes =
-      codec_ ? std::uint64_t(double(meta.raw_bytes) *
-                             config_.synthetic_codec_ratio)
-             : meta.raw_bytes;
-  if (codec_) meta.operator_name = codec_->name();
-  meta.has_crc = false;  // no payload bytes to checksum
-
-  for (auto& var : pending_) {
-    if (var.record.name != name) continue;
-    var.record.chunks.push_back(std::move(meta));
-    var.payload.emplace_back();
-    return;
-  }
-  PendingVar var;
-  var.record.name = name;
-  var.record.dtype = dtype;
-  var.record.shape = shape;
-  var.record.chunks.push_back(std::move(meta));
-  var.payload.emplace_back();
-  pending_.push_back(std::move(var));
+  var.payload.emplace_back();  // no payload bytes (and no CRC)
 }
 
 void StreamEngine::add_attribute(const std::string& name, AttrValue value) {

@@ -103,7 +103,6 @@ class StreamChannel {
   /// of all consumers' losses is >= this; 0 under the block policy).
   std::uint64_t steps_lost() const EXCLUDES(mutex_);
   int peak_depth() const EXCLUDES(mutex_);
-  std::size_t consumers() const EXCLUDES(mutex_);
 
  private:
   struct Cursor {
@@ -189,8 +188,11 @@ class StreamEngine final : public Engine {
     std::vector<std::vector<std::uint8_t>> payload;
   };
 
-  void validate_put(int rank, const std::string& name, Datatype dtype,
-                    const Dims& shape, const Dims& offset, const Dims& count)
+  /// Check a put (bp/chunk.hpp) and the step's payload kind; returns the
+  /// variable's pending entry, created at its first put.
+  PendingVar& pending_var(int rank, const std::string& name, Datatype dtype,
+                          const Dims& shape, const Dims& offset,
+                          const Dims& count, StepPayload payload)
       REQUIRES(mutex_);
 
   fsim::SharedFs& fs_;
@@ -205,7 +207,7 @@ class StreamEngine final : public Engine {
   mutable util::Mutex mutex_;
   bool step_open_ GUARDED_BY(mutex_) = false;
   bool closed_ GUARDED_BY(mutex_) = false;
-  int step_kind_ GUARDED_BY(mutex_) = 0;  // 0 none, 1 real, 2 synthetic
+  StepPayload step_payload_ GUARDED_BY(mutex_) = StepPayload::none;
   std::uint64_t current_step_ GUARDED_BY(mutex_) = 0;
   std::uint64_t steps_written_ GUARDED_BY(mutex_) = 0;
   std::vector<PendingVar> pending_ GUARDED_BY(mutex_);
@@ -238,9 +240,6 @@ class StreamConsumer final : public EngineReader {
   /// Advance and return the raw published step (compressed payloads,
   /// shared ownership); nullptr at end of stream.
   std::shared_ptr<const StreamStep> next_raw();
-  /// The raw step the cursor is currently on (nullptr before the first
-  /// next_step/next_raw).
-  std::shared_ptr<const StreamStep> current_raw() const { return step_; }
 
  private:
   std::shared_ptr<StreamChannel> channel_;

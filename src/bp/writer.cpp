@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <numeric>
 
-#include "compress/parallel.hpp"
-#include "fsim/storage_model.hpp"
 #include "util/binio.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
@@ -17,11 +16,6 @@
 namespace bitio::bp {
 
 namespace {
-
-/// Modelled CRC32C throughput for the per-chunk checksum charge (one core;
-/// same order as the memcopy bandwidth).  A model input of the simulated
-/// clock: it does not follow the kernel the host's crc32c() runs.
-constexpr double kCrcBandwidthBps = 12e9;
 
 /// The no-operator marshalling copy lands in a recycled pool buffer that is
 /// already resident and write-warmed from earlier steps, so it runs at
@@ -67,21 +61,6 @@ void ring_push(fsim::SubmissionQueue& sq, fsim::Sqe sqe) {
   sq.push(std::move(sqe));
 }
 
-/// Min/max over a real chunk's elements for the metadata statistics.
-template <typename T>
-void minmax(std::span<const std::uint8_t> data, double& lo, double& hi) {
-  const std::size_t n = data.size() / sizeof(T);
-  if (n == 0) return;
-  const T* p = reinterpret_cast<const T*>(data.data());
-  T mn = p[0], mx = p[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    if (p[i] < mn) mn = p[i];
-    if (p[i] > mx) mx = p[i];
-  }
-  lo = double(mn);
-  hi = double(mx);
-}
-
 }  // namespace
 
 StreamPolicy stream_policy_of(const std::string& name) {
@@ -94,17 +73,12 @@ StreamPolicy stream_policy_of(const std::string& name) {
       "' (expected \"block\", \"drop_oldest\", or \"disconnect\")");
 }
 
-const char* stream_policy_name(StreamPolicy policy) {
-  switch (policy) {
-    case StreamPolicy::block: return "block";
-    case StreamPolicy::drop_oldest: return "drop_oldest";
-    case StreamPolicy::disconnect: return "disconnect";
-  }
-  return "?";
-}
-
 EngineConfig EngineConfig::from_json(const Json& adios2) {
   EngineConfig config;
+  // Switches are booleans or ADIOS2-style "On"/"Off" strings.
+  auto on = [](const Json& v) {
+    return v.is_string() ? v.as_string() == "On" : v.as_bool();
+  };
   if (adios2.contains("engine")) {
     const Json& engine = adios2.at("engine");
     const std::string type =
@@ -115,56 +89,39 @@ EngineConfig EngineConfig::from_json(const Json& adios2) {
     else throw UsageError("adios2 config: unknown engine '" + type + "'");
     if (engine.contains("parameters")) {
       const Json& params = engine.at("parameters");
+      auto set_int = [&](const char* key, int& field) {
+        if (params.contains(key)) field = int(params.at(key).as_int());
+      };
+      auto set_on = [&](const char* key, bool& field) {
+        if (params.contains(key)) field = on(params.at(key));
+      };
+      auto set_str = [&](const char* key, std::string& field) {
+        if (params.contains(key)) field = params.at(key).as_string();
+      };
       // The paper uses OPENPMD_ADIOS2_BP5_NumAgg; accept both spellings.
-      for (const char* key : {"NumAggregators", "NumAgg"}) {
-        if (params.contains(key))
-          config.num_aggregators = int(params.at(key).as_int());
-      }
-      if (params.contains("Profile")) {
-        const Json& profile = params.at("Profile");
-        config.profiling = profile.is_string()
-                               ? profile.as_string() == "On"
-                               : profile.as_bool();
-      }
-      if (params.contains("AsyncWrite")) {
-        const Json& async = params.at("AsyncWrite");
-        config.async_write = async.is_string() ? async.as_string() == "On"
-                                               : async.as_bool();
-      }
+      set_int("NumAggregators", config.num_aggregators);
+      set_int("NumAgg", config.num_aggregators);
+      set_on("Profile", config.profiling);
+      set_on("AsyncWrite", config.async_write);
       if (params.contains("BufferChunkSize"))
         config.buffer_chunk_mb =
             std::size_t(params.at("BufferChunkSize").as_uint());
       // Batched queue-pair submission knobs (core::Bit1IoConfig emits them
       // only when set, so legacy configs parse unchanged).
-      if (params.contains("IoBatchDepth"))
-        config.io_batch_depth = int(params.at("IoBatchDepth").as_int());
-      if (params.contains("CoalesceWrites")) {
-        const Json& coalesce = params.at("CoalesceWrites");
-        config.coalesce_writes = coalesce.is_string()
-                                     ? coalesce.as_string() == "On"
-                                     : coalesce.as_bool();
-      }
-      if (params.contains("DrainTimeoutMs"))
-        config.drain_timeout_ms = int(params.at("DrainTimeoutMs").as_int());
-      if (params.contains("MaxDrainRetries"))
-        config.max_drain_retries =
-            int(params.at("MaxDrainRetries").as_int());
+      set_int("IoBatchDepth", config.io_batch_depth);
+      set_on("CoalesceWrites", config.coalesce_writes);
+      set_int("DrainTimeoutMs", config.drain_timeout_ms);
+      set_int("MaxDrainRetries", config.max_drain_retries);
       // Stream-engine window knobs (ignored by the file engines).
-      if (params.contains("StreamMaxSteps"))
-        config.stream_max_steps = int(params.at("StreamMaxSteps").as_int());
-      if (params.contains("StreamPolicy"))
-        config.stream_policy = params.at("StreamPolicy").as_string();
+      set_int("StreamMaxSteps", config.stream_max_steps);
+      set_str("StreamPolicy", config.stream_policy);
       // Topology-modeled gather path (core::Bit1IoConfig::adios2_toml emits
       // these only when something differs from flat-on-flat, so legacy
       // configs parse unchanged).
-      if (params.contains("Aggregation"))
-        config.aggregation = params.at("Aggregation").as_string();
-      if (params.contains("Topology"))
-        config.topology = params.at("Topology").as_string();
-      if (params.contains("NumaPerNode"))
-        config.numa_per_node = int(params.at("NumaPerNode").as_int());
-      if (params.contains("NicsPerNode"))
-        config.nics_per_node = int(params.at("NicsPerNode").as_int());
+      set_str("Aggregation", config.aggregation);
+      set_str("Topology", config.topology);
+      set_int("NumaPerNode", config.numa_per_node);
+      set_int("NicsPerNode", config.nics_per_node);
     }
   }
   if (adios2.contains("dataset")) {
@@ -212,54 +169,70 @@ topo::Mapper Writer::build_mapper(const EngineConfig& config, int nranks) {
   return topo::Mapper(cluster, nranks);
 }
 
-Writer::Writer(ForEngineFactory, fsim::SharedFs& fs, std::string path,
-               EngineConfig config, int nranks)
-    : fs_(fs), path_(std::move(path)), config_(config), nranks_(nranks),
-      mapper_(build_mapper(config_, nranks_)) {
-  if (nranks_ <= 0) throw UsageError("bp::Writer: nranks must be positive");
-  if (config_.engine == EngineType::stream)
+EngineConfig Writer::validated(EngineConfig config, int nranks) {
+  if (nranks <= 0) throw UsageError("bp::Writer: nranks must be positive");
+  if (config.engine == EngineType::stream)
     throw UsageError(
         "bp::Writer: the stream engine has no file container — construct it "
         "via bp::make_engine(\"stream\", ...)");
-  if (config_.ranks_per_node <= 0)
+  if (config.ranks_per_node <= 0)
     throw UsageError("bp::Writer: ranks_per_node must be positive");
-  if (config_.max_inflight_steps < 1)
+  if (config.max_inflight_steps < 1)
     throw UsageError("bp::Writer: max_inflight_steps must be >= 1");
-  if (config_.drain_timeout_ms < 0)
+  if (config.drain_timeout_ms < 0)
     throw UsageError("bp::Writer: drain_timeout_ms must be >= 0");
-  if (config_.max_drain_retries < 0)
+  if (config.max_drain_retries < 0)
     throw UsageError("bp::Writer: max_drain_retries must be >= 0");
-  if (config_.io_batch_depth < 0)
+  if (config.io_batch_depth < 0)
     throw UsageError("bp::Writer: io_batch_depth must be >= 0");
-  if (config_.compress_threads < 1)
-    throw UsageError("bp::Writer: compress_threads must be >= 1");
-  if (config_.compress_block_kb < 1)
-    throw UsageError("bp::Writer: compress_block_kb must be >= 1");
+  return config;
+}
+
+Writer::DrainPlan Writer::make_plan(const EngineConfig& config,
+                                    const topo::Mapper& mapper, bool codec) {
+  DrainPlan plan;
   // Keep the accepted strings in lockstep with core::kBit1IoAggregationModes
   // (the topology-registry lint rule checks both sites).
-  if (config_.aggregation != "flat" && config_.aggregation != "two_level")
-    throw UsageError("bp::Writer: unknown aggregation '" +
-                     config_.aggregation +
+  if (config.aggregation == "flat")
+    plan.gather = DrainPlan::Gather::flat;
+  else if (config.aggregation == "two_level")
+    plan.gather = DrainPlan::Gather::two_level;
+  else
+    throw UsageError("bp::Writer: unknown aggregation '" + config.aggregation +
                      "' (expected \"flat\" or \"two_level\")");
+  // Only a multi-node topology records gather ops: on the flat topology the
+  // trace is exactly the pre-topology writer's, byte for byte.
+  if (!mapper.multi_node()) plan.gather = DrainPlan::Gather::none;
+  plan.marshal_tag = codec ? fsim::OpTag::compress : fsim::OpTag::memcopy;
+  plan.ring_depth = std::size_t(config.io_batch_depth);
+  plan.coalesce = config.coalesce_writes;
+  if (config.async_write) {
+    // Marshalling runs on each aggregator's drain lane, off the ranks'
+    // critical path, and the subfile append goes out in slices.
+    plan.data_lane = kDataLane;
+    plan.meta_lane = kMetaLane;
+    plan.slice = std::max<std::uint64_t>(1, config.buffer_chunk_mb) << 20;
+    plan.charge_leader = true;
+    plan.marshal_us = &DrainTotals::drain_us;
+  } else {
+    plan.slice = std::numeric_limits<std::uint64_t>::max();
+    plan.marshal_us =
+        codec ? &DrainTotals::compress_us : &DrainTotals::memcopy_us;
+  }
+  return plan;
+}
 
+Writer::Writer(ForEngineFactory, fsim::SharedFs& fs, std::string path,
+               EngineConfig config, int nranks)
+    : fs_(fs), path_(std::move(path)),
+      config_(validated(std::move(config), nranks)), nranks_(nranks),
+      mapper_(build_mapper(config_, nranks_)),
+      codec_(make_chunk_codec("bp::Writer", config_, buffer_pool_)),
+      plan_(make_plan(config_, mapper_, codec_ != nullptr)) {
   const int nnodes =
       (nranks_ + config_.ranks_per_node - 1) / config_.ranks_per_node;
-  num_aggregators_ =
-      config_.num_aggregators > 0 ? config_.num_aggregators : nnodes;
-  num_aggregators_ = std::min(num_aggregators_, nranks_);
-
-  if (config_.codec != "none" && !config_.codec.empty()) {
-    codec_ = cz::make_codec(config_.codec, config_.codec_typesize);
-    if (config_.compress_threads > 1) {
-      // Block-parallel pipeline: chunks are split into compress_block_kb
-      // blocks compressed concurrently, with per-block scratch drawn from
-      // the writer's pool.  Output frames are CZP1 and byte-identical for
-      // any thread count.
-      codec_ = std::make_unique<cz::ParallelCodec>(
-          std::move(codec_), config_.compress_threads,
-          config_.compress_block_kb * 1024, nullptr, &buffer_pool_);
-    }
-  }
+  num_aggregators_ = std::min(
+      config_.num_aggregators > 0 ? config_.num_aggregators : nnodes, nranks_);
 
   pending_.resize(std::size_t(nranks_));
 
@@ -275,11 +248,7 @@ Writer::Writer(ForEngineFactory, fsim::SharedFs& fs, std::string path,
   fsim::FsClient root(fs_, 0);
   md_fd_ = root.open(path_ + "/md.0", fsim::OpenMode::create);
   idx_fd_ = root.open(path_ + "/md.idx", fsim::OpenMode::create);
-  // Reserve the md.idx header (magic + count, patched at close).
-  BinWriter header;
-  header.u32(kIdxMagicV5);
-  header.u32(0);
-  root.pwrite(idx_fd_, 0, header.buffer());
+  write_index_header();  // the count is patched at close
 
   if (config_.async_write) {
     drain_thread_ = std::thread([this] { drain_loop(); });
@@ -333,24 +302,16 @@ void Writer::begin_step(std::uint64_t step) {
   attributes_.clear();
   step_vars_.clear();
   step_var_ids_.clear();
-  step_kind_ = 0;
+  step_payload_ = StepPayload::none;
 }
 
-std::uint32_t Writer::validate_put(int rank, const std::string& name,
-                                   Datatype dtype, const Dims& shape,
-                                   const Dims& offset, const Dims& count,
-                                   bool synthetic) {
+Writer::PendingChunk& Writer::add_pending(int rank, const std::string& name,
+                                          Datatype dtype, const Dims& shape,
+                                          const Dims& offset,
+                                          const Dims& count,
+                                          StepPayload payload) {
   if (!step_open_) throw UsageError("bp::Writer: put outside a step");
-  if (rank < 0 || rank >= nranks_)
-    throw UsageError("bp::Writer: rank out of range");
-  if (shape.size() != offset.size() || shape.size() != count.size())
-    throw UsageError("bp::Writer: dimension rank mismatch for '" + name +
-                     "'");
-  for (std::size_t d = 0; d < shape.size(); ++d) {
-    if (offset[d] + count[d] > shape[d])
-      throw UsageError("bp::Writer: chunk of '" + name +
-                       "' exceeds global shape");
-  }
+  check_put("bp::Writer", rank, nranks_, name, shape, offset, count);
   // Intern the name; later puts must agree with the first one's
   // shape/dtype.
   std::uint32_t id;
@@ -365,56 +326,41 @@ std::uint32_t Writer::validate_put(int rank, const std::string& name,
     step_vars_.push_back({name, dtype, shape});
     step_var_ids_.emplace(name, id);
   }
-  const int kind = synthetic ? 2 : 1;
-  if (step_kind_ != 0 && step_kind_ != kind)
-    throw UsageError("bp::Writer: cannot mix real and synthetic puts");
-  step_kind_ = kind;
+  note_payload("bp::Writer", step_payload_, payload);
   ++step_vars_[id].chunks;
-  return id;
+  return pending_[std::size_t(rank)].emplace_back(
+      PendingChunk{id, offset, count, {}, {}});
 }
 
 void Writer::put(int rank, const std::string& name, const Dims& shape,
                  const ChunkView& view) {
   util::MutexLock lock(mutex_);
-  PendingChunk chunk;
-  chunk.var = validate_put(rank, name, view.dtype(), shape, view.offset(),
-                           view.count(), /*synthetic=*/false);
-  chunk.offset = view.offset();
-  chunk.count = view.count();
+  PendingChunk& chunk = add_pending(rank, name, view.dtype(), shape,
+                                    view.offset(), view.count(),
+                                    StepPayload::real);
   // Stage the payload in a recycled pool buffer: steady-state puts do no
   // heap allocation (the buffer returns to the pool after the drain).
   chunk.data = buffer_pool_.acquire(view.bytes().size());
   if (!view.bytes().empty())
     std::memcpy(chunk.data.data(), view.bytes().data(), view.bytes().size());
   ++stage_copies_total_;
-  pending_[std::size_t(rank)].push_back(std::move(chunk));
 }
 
 void Writer::put_borrowed(int rank, const std::string& name,
                           const Dims& shape, const ChunkView& view) {
   util::MutexLock lock(mutex_);
-  PendingChunk chunk;
-  chunk.var = validate_put(rank, name, view.dtype(), shape, view.offset(),
-                           view.count(), /*synthetic=*/false);
-  chunk.offset = view.offset();
-  chunk.count = view.count();
   // No staging: the drain marshals straight from the caller's bytes (which
   // the deferred-Put contract keeps valid until the step lands).
-  chunk.borrowed = view.bytes();
-  pending_[std::size_t(rank)].push_back(std::move(chunk));
+  add_pending(rank, name, view.dtype(), shape, view.offset(), view.count(),
+              StepPayload::real)
+      .borrowed = view.bytes();
 }
 
 void Writer::put_synthetic(int rank, const std::string& name, Datatype dtype,
                            const Dims& shape, const Dims& offset,
                            const Dims& count) {
   util::MutexLock lock(mutex_);
-  PendingChunk chunk;
-  chunk.var = validate_put(rank, name, dtype, shape, offset, count,
-                           /*synthetic=*/true);
-  chunk.offset = offset;
-  chunk.count = count;
-  chunk.synthetic = true;
-  pending_[std::size_t(rank)].push_back(std::move(chunk));
+  add_pending(rank, name, dtype, shape, offset, count, StepPayload::synthetic);
 }
 
 void Writer::add_attribute(const std::string& name, AttrValue value) {
@@ -424,18 +370,7 @@ void Writer::add_attribute(const std::string& name, AttrValue value) {
   attributes_.emplace_back(name, std::move(value));
 }
 
-void Writer::compute_stats(std::span<const std::uint8_t> payload,
-                           Datatype dtype, double& lo, double& hi) {
-  switch (dtype) {
-    case Datatype::uint8: minmax<std::uint8_t>(payload, lo, hi); break;
-    case Datatype::int32: minmax<std::int32_t>(payload, lo, hi); break;
-    case Datatype::uint64: minmax<std::uint64_t>(payload, lo, hi); break;
-    case Datatype::float32: minmax<float>(payload, lo, hi); break;
-    case Datatype::float64: minmax<double>(payload, lo, hi); break;
-  }
-}
-
-std::vector<Writer::EncodedChunk> Writer::encode_real_step(
+std::vector<ChunkRecord> Writer::encode_real_step(
     const StepJob& job, std::vector<std::vector<std::uint8_t>>& agg) {
   // The chunks in rank-major order — the order their frames are appended
   // in — and each aggregator's worst-case byte count.
@@ -470,7 +405,7 @@ std::vector<Writer::EncodedChunk> Writer::encode_real_step(
   const std::size_t width =
       raw_total >= kParallelEncodeMinBytes ? std::size_t(pool.workers()) + 1
                                            : 1;
-  std::vector<EncodedChunk> encoded(refs.size());
+  std::vector<ChunkRecord> encoded(refs.size());
   std::vector<std::vector<std::uint8_t>> frames;
   for (std::size_t first = 0, count = 0; first < refs.size();
        first += count) {
@@ -493,11 +428,20 @@ std::vector<Writer::EncodedChunk> Writer::encode_real_step(
         codec_->compress_append(payload, frame);
         stored = frame;
       }
-      EncodedChunk& e = encoded[first + i];
+      ChunkRecord& e = encoded[first + i];
+      e.offset = ref.chunk->offset;
+      e.count = ref.chunk->count;
+      e.raw_bytes = payload.size();
       e.stored_bytes = stored.size();
-      e.crc = crc32c(stored);
+      if (codec_) e.operator_name = codec_->name();
       compute_stats(payload, ref.dtype, e.stat_min, e.stat_max);
+      // End-to-end integrity: the CRC32C of the stored bytes; content
+      // identity (format v6): FNV-1a 64 of the raw bytes, the dedup key the
+      // incremental-checkpoint layer compares across epochs.
+      e.crc32c = crc32c(stored);
+      e.has_crc = true;
       e.content_hash = util::hash64(payload);
+      e.has_content_hash = true;
     });
     for (std::size_t i = 0; i < count; ++i) {
       const Ref& ref = refs[first + i];
@@ -519,7 +463,7 @@ void Writer::end_step() {
     if (!step_open_) throw UsageError("bp::Writer: no open step");
     step_open_ = false;
     job.step = current_step_;
-    job.kind = step_kind_;
+    job.payload = step_payload_;
     job.attributes = std::move(attributes_);
     attributes_.clear();
     job.vars = std::move(step_vars_);  // begin_step() resets the table
@@ -543,347 +487,207 @@ void Writer::end_step() {
 }
 
 void Writer::drain_step(const StepJob& job) {
-  const bool async = config_.async_write;
   touch_heartbeat();
+  const std::size_t naggs = std::size_t(num_aggregators_);
+  // Aggregation buffers: a real step marshals every chunk up front into
+  // them; a synthetic step has only sizes, and writes size-only.
+  const bool real = job.payload == StepPayload::real;
+  std::vector<std::vector<std::uint8_t>> agg(naggs);
+  std::vector<ChunkRecord> encoded;
+  if (real) encoded = encode_real_step(job, agg);
 
+  // Stage 1: record every chunk in rank-major order.  Per rank, the
+  // gather's first hop ships its bytes towards the aggregator leader and
+  // its marshalling/CRC CPU is charged or set aside for the leader.
   StepRecord record;
   record.step = job.step;
   record.attributes = job.attributes;
-
-  // Variable table in first-seen rank-major order: var_slot[id] is the
-  // record.variables index of step-local variable `id`, once seen.
+  // var_slot[id] is the record.variables index of step-local variable
+  // `id`, once seen (first-seen rank-major order).
   constexpr std::size_t kUnseen = ~std::size_t(0);
   std::vector<std::size_t> var_slot(job.vars.size(), kUnseen);
-
-  // Aggregation buffers (real payloads) and size counters (synthetic),
-  // one per subfile.  A real step marshals every chunk up front; the loop
-  // below then only records what each chunk produced.
-  std::vector<std::vector<std::uint8_t>> agg(
-      static_cast<std::size_t>(num_aggregators_));
-  std::vector<EncodedChunk> encoded;
-  if (job.kind == 1) encoded = encode_real_step(job, agg);
-  std::size_t next_encoded = 0;  // rank-major index into `encoded`
-  std::vector<std::uint64_t> agg_bytes(
-      static_cast<std::size_t>(num_aggregators_), 0);
-  // Queue-pair path: one sqe per marshalled chunk extent (the natural unit
-  // the ring receives), so the extent sizes are tracked during marshalling.
-  // Coalescing later merges adjacent extents back into vectored device
-  // records.
-  const bool batched = config_.io_batch_depth > 0;
-  std::vector<std::vector<std::uint64_t>> agg_extents(
-      static_cast<std::size_t>(num_aggregators_));
-  // Async: marshalling/compression runs on each aggregator's drain lane,
-  // not the ranks' critical path.  Accumulated per aggregator, charged to
-  // the leader's lane below.
-  std::vector<double> lane_compress(static_cast<std::size_t>(num_aggregators_),
-                                    0.0);
-  std::vector<double> lane_memcopy(static_cast<std::size_t>(num_aggregators_),
-                                   0.0);
-  std::vector<double> lane_crc(static_cast<std::size_t>(num_aggregators_),
-                               0.0);
-
-  // Topology-modeled gather: how each rank's marshalled bytes reach its
-  // aggregator leader.  Only a multi-node topology records gather ops —
-  // on the flat topology the loop below emits exactly the pre-topology
-  // trace, byte for byte.  "flat" aggregation ships every rank's bytes
-  // straight to the aggregator over the inter-node links; "two_level"
-  // gathers onto the node leader over intra-node shared memory first and
-  // ships one combined transfer per (node, aggregator) pair afterwards.
-  const bool model_gather = mapper_.multi_node();
-  const bool two_level = model_gather && config_.aggregation == "two_level";
+  std::vector<std::uint64_t> agg_bytes(naggs, 0);
+  // One ring sqe per marshalled chunk extent (coalescing may merge them).
+  std::vector<std::vector<std::uint64_t>> agg_extents(naggs);
+  std::vector<CpuCharge> leader_cpu(naggs);
+  // Two-level: bytes each node forwards to each aggregator (second hop).
   std::map<std::pair<int, int>, std::uint64_t> node_agg_bytes;
-
+  std::size_t next = 0;  // rank-major index into encoded
   for (int rank = 0; rank < nranks_; ++rank) {
     const auto& chunks = job.chunks[std::size_t(rank)];
     if (chunks.empty()) continue;
     touch_heartbeat();
-    const int a = aggregator_of(rank);
-    fsim::FsClient client(fs_, fsim::ClientId(rank));
-    double rank_compress_s = 0.0;  // coalesced per-rank CPU charge
-    double rank_memcopy_s = 0.0;
-    double rank_crc_s = 0.0;
-    std::uint64_t rank_stored = 0;  // this rank's marshalled bytes this step
-    for (const auto& chunk : chunks) {
+    const std::size_t a = std::size_t(aggregator_of(rank));
+    CpuCharge cpu;
+    std::uint64_t rank_stored = 0;
+    for (const PendingChunk& chunk : chunks) {
       const StepVar& info = job.vars[chunk.var];
+      ChunkRecord meta =
+          real ? std::move(encoded[next++])
+               : synthetic_chunk(chunk.offset, chunk.count, info.dtype,
+                                 codec_.get(), config_.synthetic_codec_ratio);
+      meta.writer_rank = std::uint32_t(rank);
+      meta.subfile = std::uint32_t(a);
+      meta.file_offset = data_offsets_[a] + agg_bytes[a];
+      // With an operator the frame went straight into the aggregation
+      // buffer: compression is charged, no separate memcopy (Fig 8).
+      // Without one, the marshalling copy: staged puts copy between warm
+      // pool buffers (kWarmCopyFactor); a borrowed chunk skipped staging,
+      // so its single pass runs at kZeroCopyFactor.
+      const double marshal_s =
+          codec_ ? compress_cpu_seconds(*codec_, config_, meta.raw_bytes)
+                 : double(meta.raw_bytes) /
+                       (config_.mem_bandwidth_bps *
+                        (chunk.is_borrowed() ? kZeroCopyFactor
+                                             : kWarmCopyFactor));
+      cpu.marshal += marshal_s;
+      totals_.*plan_.marshal_us += marshal_s * 1e6;
+      if (meta.has_crc) {
+        const double crc_s = double(meta.stored_bytes) / kCrcBandwidthBps;
+        cpu.crc += crc_s;
+        totals_.crc_us += crc_s * 1e6;
+      }
+      if (chunk.is_borrowed()) ++totals_.zero_copy_chunks;
+      totals_.raw_bytes += meta.raw_bytes;
+      totals_.stored_bytes += meta.stored_bytes;
+      agg_bytes[a] += meta.stored_bytes;
+      if (meta.stored_bytes > 0) agg_extents[a].push_back(meta.stored_bytes);
+      rank_stored += meta.stored_bytes;
+
       std::size_t& slot = var_slot[chunk.var];
       if (slot == kUnseen) {
         slot = record.variables.size();
         record.variables.push_back({info.name, info.dtype, info.shape, {}});
         record.variables.back().chunks.reserve(info.chunks);
       }
-      VarRecord& var = record.variables[slot];
-
-      const std::uint64_t raw_bytes =
-          chunk.synthetic ? element_count(chunk.count) * dtype_size(info.dtype)
-                          : chunk.payload().size();
-      if (chunk.is_borrowed()) ++zero_copy_chunks_total_;
-      const EncodedChunk* enc =
-          chunk.synthetic ? nullptr : &encoded[next_encoded++];
-      std::uint64_t stored_size = 0;
-      std::string operator_name;
-      std::uint32_t chunk_crc = 0;
-      bool chunk_has_crc = false;
-      if (codec_) {
-        // Operator path: the frame went into the aggregation buffer; charge
-        // the compression cost, no separate memcopy (Fig 8).  The charge
-        // is parallel wall time when compress_threads > 1.
-        operator_name = codec_->name();
-        const double seconds = compress_cpu_seconds(raw_bytes);
-        rank_compress_s += seconds;
-        if (async)
-          drain_us_total_ += seconds * 1e6;
-        else
-          compress_us_total_ += seconds * 1e6;
-        if (chunk.synthetic) {
-          stored_size = std::uint64_t(double(raw_bytes) *
-                                      config_.synthetic_codec_ratio);
-        } else {
-          stored_size = enc->stored_bytes;
-          chunk_crc = enc->crc;
-          chunk_has_crc = true;
-        }
-      } else {
-        // No operator: the marshalling copy into the aggregation buffer.
-        // For staged puts both ends are warm recycled pool memory, hence
-        // the kWarmCopyFactor discount over the seed model's cold-buffer
-        // charge; a borrowed chunk skipped staging entirely, so its single
-        // source-to-aggregation pass runs at kZeroCopyFactor.
-        const double factor =
-            chunk.is_borrowed() ? kZeroCopyFactor : kWarmCopyFactor;
-        const double seconds =
-            double(raw_bytes) / (config_.mem_bandwidth_bps * factor);
-        rank_memcopy_s += seconds;
-        if (async)
-          drain_us_total_ += seconds * 1e6;
-        else
-          memcopy_us_total_ += seconds * 1e6;
-        stored_size = raw_bytes;
-        if (!chunk.synthetic) {
-          chunk_crc = enc->crc;
-          chunk_has_crc = true;
-        }
-      }
-      if (chunk_has_crc) {
-        // End-to-end integrity: checksum the stored bytes at marshalling
-        // time, identically on the sync and async paths (so async vs sync
-        // containers stay byte-identical).
-        const double seconds = double(stored_size) / kCrcBandwidthBps;
-        rank_crc_s += seconds;
-        crc_us_total_ += seconds * 1e6;
-      }
-
-      ChunkRecord meta;
-      meta.offset = chunk.offset;
-      meta.count = chunk.count;
-      if (enc != nullptr) {
-        meta.stat_min = enc->stat_min;
-        meta.stat_max = enc->stat_max;
-      }
-      meta.writer_rank = std::uint32_t(rank);
-      meta.subfile = std::uint32_t(a);
-      meta.file_offset =
-          data_offsets_[std::size_t(a)] + agg_bytes[std::size_t(a)];
-      meta.stored_bytes = stored_size;
-      meta.raw_bytes = raw_bytes;
-      meta.operator_name = operator_name;
-      meta.crc32c = chunk_crc;
-      meta.has_crc = chunk_has_crc;
-      if (enc != nullptr) {
-        // Content identity over the raw bytes (format v6): the dedup key
-        // the incremental-checkpoint layer compares across epochs.
-        meta.content_hash = enc->content_hash;
-        meta.has_content_hash = true;
-      }
-      var.chunks.push_back(std::move(meta));
-
-      raw_bytes_total_ += raw_bytes;
-      stored_bytes_total_ += stored_size;
-      agg_bytes[std::size_t(a)] += stored_size;
-      if (batched && stored_size > 0)
-        agg_extents[std::size_t(a)].push_back(stored_size);
-      rank_stored += stored_size;
+      record.variables[slot].chunks.push_back(std::move(meta));
     }
-    if (model_gather && rank_stored > 0) {
-      // First gather hop.  The op is recorded on the *receiving* rank's
-      // client sequence (its overlapped drain lane when async): a gatherer
-      // cannot forward or write bytes it has not received, so the fan-in
-      // must gate the receiver's subsequent trace ops — recorded on the
-      // sender it would replay off the critical path and cost nothing.
-      if (two_level) {
-        const int node_leader = mapper_.leader_of(rank);
-        if (rank != node_leader) {
-          fsim::FsClient receiver(fs_, fsim::ClientId(node_leader),
-                                  async ? kDataLane : 0);
-          receiver.transfer(data_fds_[std::size_t(a)], fsim::ClientId(rank),
-                            rank_stored, /*intra_node=*/true);
-        }
-        node_agg_bytes[{mapper_.node_of(rank), a}] += rank_stored;
-      } else {
-        const int leader = leader_of(a);
-        if (rank != leader) {
-          fsim::FsClient receiver(fs_, fsim::ClientId(leader),
-                                  async ? kDataLane : 0);
-          receiver.transfer(data_fds_[std::size_t(a)], fsim::ClientId(rank),
-                            rank_stored, mapper_.same_node(rank, leader));
-        }
-      }
+    // First gather hop, recorded on the *receiving* rank's sequence: a
+    // gatherer cannot forward or write bytes it has not received, so the
+    // fan-in must gate the receiver's later ops (recorded on the sender it
+    // would replay off the critical path and cost nothing).
+    if (plan_.gather != DrainPlan::Gather::none && rank_stored > 0) {
+      const bool two_level = plan_.gather == DrainPlan::Gather::two_level;
+      const int receiver =
+          two_level ? mapper_.leader_of(rank) : leader_of(int(a));
+      if (rank != receiver)
+        fsim::FsClient(fs_, fsim::ClientId(receiver), plan_.data_lane)
+            .transfer(data_fds_[a], fsim::ClientId(rank), rank_stored,
+                      mapper_.same_node(rank, receiver));
+      if (two_level) node_agg_bytes[{mapper_.node_of(rank), int(a)}] +=
+          rank_stored;
     }
-    if (async) {
-      lane_compress[std::size_t(a)] += rank_compress_s;
-      lane_memcopy[std::size_t(a)] += rank_memcopy_s;
-      lane_crc[std::size_t(a)] += rank_crc_s;
-    } else {
-      if (rank_compress_s > 0.0)
-        client.charge_cpu(rank_compress_s, fsim::OpTag::compress);
-      if (rank_memcopy_s > 0.0)
-        client.charge_cpu(rank_memcopy_s, fsim::OpTag::memcopy);
-      if (rank_crc_s > 0.0) client.charge_cpu(rank_crc_s, fsim::OpTag::crc32c);
-    }
+    if (plan_.charge_leader)
+      leader_cpu[a].add(cpu);
+    else
+      charge(fsim::FsClient(fs_, fsim::ClientId(rank)), cpu);
   }
 
-  // Second gather hop (two-level only): each node leader ships its node's
-  // combined payload per aggregator over the inter-node links.  A node
-  // leader that is itself the aggregator leader already holds the bytes.
-  // Recorded on the aggregator leader (the receiver) ahead of its write
-  // ops, for the same critical-path reason as the first hop.
+  // Stage 2 (two-level only): each node leader ships its node's combined
+  // payload per aggregator; a node leader that is the aggregator leader
+  // already holds the bytes.  Recorded on the receiver, ahead of its
+  // writes, for the same critical-path reason as the first hop.
   for (const auto& [key, bytes] : node_agg_bytes) {
-    const auto [node, agg] = key;
-    if (bytes == 0) continue;
-    const int node_leader = mapper_.node_leader(node);
-    const int leader = leader_of(agg);
-    if (node_leader == leader) continue;
-    fsim::FsClient receiver(fs_, fsim::ClientId(leader),
-                            async ? kDataLane : 0);
-    receiver.transfer(data_fds_[std::size_t(agg)], fsim::ClientId(node_leader),
-                      bytes, mapper_.same_node(node_leader, leader));
+    const int from = mapper_.node_leader(key.first);
+    const int to = leader_of(key.second);
+    if (from == to) continue;
+    fsim::FsClient(fs_, fsim::ClientId(to), plan_.data_lane)
+        .transfer(data_fds_[std::size_t(key.second)], fsim::ClientId(from),
+                  bytes, mapper_.same_node(from, to));
   }
 
-  // Each aggregator leader appends its step buffer as one sequential write
-  // — on its overlapped drain lane in buffer_chunk_mb slices when async.
-  const bool synthetic_step = job.kind == 2;
-  const std::uint64_t slice =
-      std::max<std::uint64_t>(1, config_.buffer_chunk_mb) << 20;
-  for (int a = 0; a < num_aggregators_; ++a) {
-    const std::uint64_t bytes = agg_bytes[std::size_t(a)];
-    fsim::FsClient client(fs_, fsim::ClientId(leader_of(a)),
-                          async ? kDataLane : 0);
-    if (async) {
-      if (lane_compress[std::size_t(a)] > 0.0)
-        client.charge_cpu(lane_compress[std::size_t(a)],
-                          fsim::OpTag::compress);
-      if (lane_memcopy[std::size_t(a)] > 0.0)
-        client.charge_cpu(lane_memcopy[std::size_t(a)], fsim::OpTag::memcopy);
-      if (lane_crc[std::size_t(a)] > 0.0)
-        client.charge_cpu(lane_crc[std::size_t(a)], fsim::OpTag::crc32c);
-    }
-    if (bytes == 0) continue;
+  // Stage 3: each aggregator leader takes its CPU charge (async) and
+  // appends its step buffer to its subfile.
+  for (std::size_t a = 0; a < naggs; ++a) {
+    const fsim::FsClient leader(fs_, fsim::ClientId(leader_of(int(a))),
+                                plan_.data_lane);
+    charge(leader, leader_cpu[a]);
+    if (agg_bytes[a] == 0) continue;
     touch_heartbeat();
-    if (batched) {
-      // Queue-pair path: the same bytes at the same offsets, issued as one
-      // sqe per marshalled chunk extent through one ring per aggregator
-      // lane.  Without coalescing every extent is its own device record
-      // (and pays its own per-record RPC cost, like N separate pwritevs
-      // would); with coalescing adjacent extents merge into vectored
-      // records, reclaiming that overhead without changing what lands on
-      // disk.
-      fsim::SubmissionQueue sq(client, std::size_t(config_.io_batch_depth),
-                               config_.coalesce_writes);
-      std::uint64_t pos = 0;
-      for (const std::uint64_t n : agg_extents[std::size_t(a)]) {
-        touch_heartbeat();
-        fsim::Sqe sqe;
-        sqe.fd = data_fds_[std::size_t(a)];
-        sqe.offset = data_offsets_[std::size_t(a)] + pos;
-        sqe.user_data = pos;
-        if (synthetic_step)
-          sqe.simulated_bytes = n;
-        else
-          sqe.iov.push_back(
-              std::span<const std::uint8_t>(agg[std::size_t(a)])
-                  .subspan(std::size_t(pos), std::size_t(n)));
-        ring_push(sq, std::move(sqe));
-        pos += n;
-      }
-      submit_and_reap(sq);
-    } else if (synthetic_step) {
-      client.seek(data_fds_[std::size_t(a)], data_offsets_[std::size_t(a)]);
-      const std::uint64_t nslices = async ? (bytes + slice - 1) / slice : 1;
-      client.write_simulated(data_fds_[std::size_t(a)], bytes,
-                             std::uint32_t(nslices));
-    } else if (async) {
-      for (std::uint64_t pos = 0; pos < bytes; pos += slice) {
-        const std::uint64_t n = std::min<std::uint64_t>(slice, bytes - pos);
-        touch_heartbeat();
-        client.pwrite(
-            data_fds_[std::size_t(a)], data_offsets_[std::size_t(a)] + pos,
-            std::span<const std::uint8_t>(agg[std::size_t(a)]).subspan(
-                std::size_t(pos), std::size_t(n)));
-      }
-    } else {
-      client.pwrite(data_fds_[std::size_t(a)], data_offsets_[std::size_t(a)],
-                    agg[std::size_t(a)]);
-    }
-    data_offsets_[std::size_t(a)] += bytes;
+    write_subfile(leader, a, agg[a], agg_bytes[a], agg_extents[a]);
+    data_offsets_[a] += agg_bytes[a];
   }
   // Aggregation buffers go back to the pool (with whatever capacity they
   // grew to) for the next step's drain.
   for (auto& buffer : agg) buffer_pool_.release(std::move(buffer));
 
-  // Rank 0 appends step metadata and the index entry (its own overlapped
-  // metadata lane when async).
+  // Stage 4: rank 0 appends the step metadata and its index entry.
+  write_metadata(job.step, record);
+}
+
+void Writer::charge(fsim::FsClient client, const CpuCharge& cpu) const {
+  if (cpu.marshal > 0.0) client.charge_cpu(cpu.marshal, plan_.marshal_tag);
+  if (cpu.crc > 0.0) client.charge_cpu(cpu.crc, fsim::OpTag::crc32c);
+}
+
+void Writer::write_subfile(fsim::FsClient client, std::size_t aggregator,
+                           std::span<const std::uint8_t> data,
+                           std::uint64_t bytes,
+                           const std::vector<std::uint64_t>& extents) {
+  // `data` is empty for a synthetic step: every write is size-only.
+  const int fd = data_fds_[aggregator];
+  const std::uint64_t base = data_offsets_[aggregator];
+  if (plan_.ring_depth > 0) {
+    // Queue-pair path: the same bytes at the same offsets, one sqe per
+    // chunk extent through one ring per lane.  Without coalescing every
+    // extent is its own device record (paying its own per-record RPC cost,
+    // like N separate pwritevs); coalescing merges adjacent extents into
+    // vectored records without changing what lands on disk.
+    fsim::SubmissionQueue sq(client, plan_.ring_depth, plan_.coalesce);
+    std::uint64_t pos = 0;
+    for (const std::uint64_t n : extents) {
+      touch_heartbeat();
+      ring_push(sq, data.empty()
+                        ? fsim::Sqe{fd, base + pos, {}, n, pos}
+                        : fsim::Sqe{fd, base + pos, {data.subspan(pos, n)},
+                                    0, pos});
+      pos += n;
+    }
+    submit_and_reap(sq);
+  } else if (data.empty()) {
+    client.seek(fd, base);
+    client.write_simulated(fd, bytes,
+                           std::uint32_t((bytes - 1) / plan_.slice + 1));
+  } else {
+    // One sequential write, in plan_.slice pieces.
+    for (std::uint64_t pos = 0; pos < bytes; pos += plan_.slice) {
+      touch_heartbeat();
+      const std::uint64_t n = std::min(plan_.slice, bytes - pos);
+      client.pwrite(fd, base + pos, data.subspan(pos, n));
+    }
+  }
+}
+
+void Writer::write_metadata(std::uint64_t step, const StepRecord& record) {
   touch_heartbeat();
-  fsim::FsClient root(fs_, 0, async ? kMetaLane : 0);
+  fsim::FsClient root(fs_, 0, plan_.meta_lane);
   std::vector<std::uint8_t> md = encode_step(record);
   // The block ends in the CRC32C of everything before it, so the index
   // entry's CRC of the whole block continues from that stored value over
   // the last four bytes instead of reading the block again.
   const auto md_tail = std::span<const std::uint8_t>(md).last(4);
-  IndexEntry entry{job.step, md_offset_, md.size(),
-                   crc32c(md_tail, BinReader(md_tail).u32()), true};
-  BinWriter idx_bytes;
-  idx_bytes.u64(entry.step);
-  idx_bytes.u64(entry.md_offset);
-  idx_bytes.u64(entry.md_length);
-  idx_bytes.u32(entry.md_crc);
-  idx_bytes.u32(0);  // reserved (v5 entry layout)
+  const IndexEntry entry{step, md_offset_, md.size(),
+                         crc32c(md_tail, BinReader(md_tail).u32())};
+  // The entry's md.idx bytes: encode_index's record after its header.
+  const std::vector<std::uint8_t> idx = encode_index({entry});
+  const auto idx_bytes = std::span<const std::uint8_t>(idx).subspan(8);
   const std::uint64_t idx_offset = 8 + index_.size() * kIdxEntryBytesV5;
-  if (batched) {
-    // Rank 0's two tiny per-step appends (md.0 record + md.idx entry) ride
-    // one doorbell.  On the posix path each pays the synchronous
-    // small-record round trip every step — exactly the metadata cost the
-    // queue pair amortizes away at scale.
-    fsim::SubmissionQueue mq(root, 2, config_.coalesce_writes);
-    fsim::Sqe md_sqe;
-    md_sqe.fd = md_fd_;
-    md_sqe.offset = md_offset_;
-    md_sqe.iov.push_back(std::span<const std::uint8_t>(md));
-    mq.push(std::move(md_sqe));
-    fsim::Sqe idx_sqe;
-    idx_sqe.fd = idx_fd_;
-    idx_sqe.offset = idx_offset;
-    idx_sqe.iov.push_back(std::span<const std::uint8_t>(idx_bytes.buffer()));
-    idx_sqe.user_data = 1;
-    mq.push(std::move(idx_sqe));
+  if (plan_.ring_depth > 0) {
+    // The two tiny per-step appends ride one doorbell.  Per-op, each pays
+    // the synchronous small-record round trip every step: the metadata
+    // cost the queue pair amortizes away at scale.
+    fsim::SubmissionQueue mq(root, 2, plan_.coalesce);
+    mq.push({md_fd_, md_offset_, {std::span<const std::uint8_t>(md)}, 0, 0});
+    mq.push({idx_fd_, idx_offset, {idx_bytes}, 0, 1});
     submit_and_reap(mq);
   } else {
     root.pwrite(md_fd_, md_offset_, md);
-    root.pwrite(idx_fd_, idx_offset, idx_bytes.buffer());
+    root.pwrite(idx_fd_, idx_offset, idx_bytes);
   }
   md_offset_ += md.size();
   index_.push_back(entry);
   // The footer index close() appends repeats this exact block.
   footer_steps_.push_back(std::move(md));
-}
-
-double Writer::compress_cpu_seconds(std::uint64_t raw_bytes) const {
-  const double serial = double(raw_bytes) / codec_->compress_speed_bps();
-  if (config_.compress_threads <= 1) return serial;
-  const std::uint64_t block =
-      std::uint64_t(config_.compress_block_kb) * 1024;
-  const std::uint64_t nblocks =
-      raw_bytes == 0 ? 0 : (raw_bytes + block - 1) / block;
-  return fsim::parallel_cpu_seconds(serial, config_.compress_threads,
-                                    nblocks);
 }
 
 void Writer::recycle_job(StepJob& job) {
@@ -893,19 +697,8 @@ void Writer::recycle_job(StepJob& job) {
 }
 
 Writer::DrainSnapshot Writer::snapshot_drain_state() const {
-  DrainSnapshot snap;
-  snap.data_offsets = data_offsets_;
-  snap.md_offset = md_offset_;
-  snap.index_size = index_.size();
-  snap.footer_steps = footer_steps_.size();
-  snap.memcopy_us = memcopy_us_total_;
-  snap.compress_us = compress_us_total_;
-  snap.drain_us = drain_us_total_;
-  snap.crc_us = crc_us_total_;
-  snap.raw_bytes = raw_bytes_total_;
-  snap.stored_bytes = stored_bytes_total_;
-  snap.zero_copy_chunks = zero_copy_chunks_total_;
-  return snap;
+  return {data_offsets_, md_offset_, index_.size(), footer_steps_.size(),
+          totals_};
 }
 
 void Writer::restore_drain_state(const DrainSnapshot& snap) {
@@ -913,13 +706,7 @@ void Writer::restore_drain_state(const DrainSnapshot& snap) {
   md_offset_ = snap.md_offset;
   index_.resize(snap.index_size);
   footer_steps_.resize(snap.footer_steps);
-  memcopy_us_total_ = snap.memcopy_us;
-  compress_us_total_ = snap.compress_us;
-  drain_us_total_ = snap.drain_us;
-  crc_us_total_ = snap.crc_us;
-  raw_bytes_total_ = snap.raw_bytes;
-  stored_bytes_total_ = snap.stored_bytes;
-  zero_copy_chunks_total_ = snap.zero_copy_chunks;
+  totals_ = snap.totals;
 }
 
 void Writer::drain_job_with_retries(const StepJob& job) {
@@ -1067,11 +854,14 @@ void Writer::publish_index() {
   }
   // The same header bytes close() writes — the final container is
   // unchanged, the count just becomes visible to mid-run readers early.
+  write_index_header();
+}
+
+void Writer::write_index_header() {
   BinWriter header;
   header.u32(kIdxMagicV5);
   header.u32(std::uint32_t(index_.size()));
-  fsim::FsClient root(fs_, 0);
-  root.pwrite(idx_fd_, 0, header.buffer());
+  fsim::FsClient(fs_, 0).pwrite(idx_fd_, 0, header.buffer());
 }
 
 void Writer::close() {
@@ -1090,11 +880,7 @@ void Writer::close() {
 
   util::MutexLock lock(mutex_);
   fsim::FsClient root(fs_, 0);
-  // Patch the md.idx header with the final step count.
-  BinWriter header;
-  header.u32(kIdxMagicV5);
-  header.u32(std::uint32_t(index_.size()));
-  root.pwrite(idx_fd_, 0, header.buffer());
+  write_index_header();  // the final step count
 
   // Footer index (format v6): the complete step records appended after the
   // last metadata block, then a fixed trailer pointing back at them.  A
@@ -1133,24 +919,24 @@ void Writer::close() {
       profile["topology"] = config_.topology;
       profile["nodes"] = mapper_.nodes();
     }
-    profile["transport_0"]["memcopy_us"] = memcopy_us_total_;
-    profile["transport_0"]["compress_us"] = compress_us_total_;
+    profile["transport_0"]["memcopy_us"] = totals_.memcopy_us;
+    profile["transport_0"]["compress_us"] = totals_.compress_us;
     // Overlapped drain-lane time, kept apart from the critical-path
     // memcopy/compress numbers (zero without async_write).
-    profile["transport_0"]["drain_us"] = drain_us_total_;
+    profile["transport_0"]["drain_us"] = totals_.drain_us;
     // Per-chunk CRC32C cost (format v5 end-to-end integrity).
-    profile["transport_0"]["crc_us"] = crc_us_total_;
-    profile["transport_0"]["raw_bytes"] = raw_bytes_total_;
-    profile["transport_0"]["stored_bytes"] = stored_bytes_total_;
+    profile["transport_0"]["crc_us"] = totals_.crc_us;
+    profile["transport_0"]["raw_bytes"] = totals_.raw_bytes;
+    profile["transport_0"]["stored_bytes"] = totals_.stored_bytes;
     if (config_.io_batch_depth > 0) {
       // Gated so per-op containers keep the legacy profiling.json.
       profile["transport_0"]["io_batch_depth"] = config_.io_batch_depth;
       profile["transport_0"]["coalesce_writes"] = config_.coalesce_writes;
     }
-    if (zero_copy_chunks_total_ > 0) {
+    if (totals_.zero_copy_chunks > 0) {
       // Fig 8 extension: copies per path.  Gated so staged-only containers
       // keep the legacy profile byte-for-byte.
-      profile["transport_0"]["zero_copy_chunks"] = zero_copy_chunks_total_;
+      profile["transport_0"]["zero_copy_chunks"] = totals_.zero_copy_chunks;
       profile["transport_0"]["stage_copies"] = stage_copies_total_;
     }
     if (config_.drain_timeout_ms > 0) {

@@ -9,28 +9,32 @@
 //   profiling.json       optional per-rank timing profile (Fig 8)
 //   mmd.0                BP5 engines only (second metadata file)
 //
-// Write path per step (matching the paper's description of BP4):
-//   * every rank's put() is deferred into a rank-local pending buffer
-//     ("key operations between storeChunk() and flush() must not modify the
-//     referenced data");
-//   * end_step() applies the configured operator per chunk — with a codec
-//     the data is compressed straight into the aggregation buffer (no
-//     separate memcopy, which is why Fig 8 shows memcopy time eliminated
-//     under compression; without a codec a plain memcopy is charged);
-//   * ranks are mapped onto M aggregators in contiguous blocks
-//     (OPENPMD_ADIOS2_BP5_NumAgg in the paper); each aggregator leader
-//     appends its ranks' chunks to its subfile in one sequential write;
-//   * rank 0 appends the step's metadata to md.0 and its index entry to
-//     md.idx.
+// Write path per step (the paper's BP4 pipeline): every rank's put() is
+// deferred into a rank-local pending table ("key operations between
+// storeChunk() and flush() must not modify the referenced data"), and the
+// step's drain runs four fixed stages:
+//   1. record the chunks: each passes the configured operator straight into
+//      its aggregator's buffer (with a codec no separate memcopy, which is
+//      why Fig 8 shows memcopy time eliminated under compression); ranks
+//      map onto M aggregators in contiguous blocks (the paper's
+//      OPENPMD_ADIOS2_BP5_NumAgg), and each rank's bytes take the gather's
+//      first hop towards its aggregator leader;
+//   2. the two-level gather's second hop, node leader -> aggregator leader;
+//   3. each aggregator leader appends its buffer to its subfile in one
+//      sequential write;
+//   4. rank 0 appends the step's metadata to md.0 and its entry to md.idx.
+// The stages read a DrainPlan that the constructor resolves once from
+// EngineConfig and the topology: lanes, write slice, where CPU is charged,
+// gather mode and per-op or ring submission (DESIGN.md "Drain plan").
 //
 // Asynchronous drain (BP5's AsyncWrite): with EngineConfig::async_write,
 // end_step() snapshots the pending chunk table into an immutable StepJob
-// and returns immediately; a background worker drains jobs FIFO, issuing
-// each aggregator's subfile append on that leader's overlapped drain lane
-// in buffer_chunk_mb slices.  A bounded queue applies backpressure —
-// begin_step() of step N + max_inflight_steps blocks until step N's drain
-// has landed — and close()/wait_drains() join outstanding work.  Output is
-// byte-identical to the synchronous path.
+// and returns immediately; a background worker drains jobs FIFO on the
+// aggregator leaders' overlapped drain lanes, in buffer_chunk_mb slices.
+// A bounded queue applies backpressure — begin_step() of step N +
+// max_inflight_steps blocks until step N's drain has landed — and
+// close()/wait_drains() join outstanding work.  Output is byte-identical
+// to the synchronous path, which drains inline on the caller.
 //
 // Thread safety: put() may be called concurrently by SPMD rank threads;
 // begin_step/end_step/close are collective-like and must be called by
@@ -45,6 +49,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "bp/chunk.hpp"
 #include "bp/format.hpp"
 #include "bp/types.hpp"
 #include "compress/buffer_pool.hpp"
@@ -74,7 +79,6 @@ inline const char* engine_name(EngineType t) {
 enum class StreamPolicy { block, drop_oldest, disconnect };
 
 StreamPolicy stream_policy_of(const std::string& name);
-const char* stream_policy_name(StreamPolicy policy);
 
 struct EngineConfig {
   EngineType engine = EngineType::bp4;
@@ -170,11 +174,9 @@ struct WatchdogStats {
 
 class Writer {
 public:
-  /// Construction path used by the engine factory and Writer::open.  The
-  /// once-deprecated raw `Writer(fs, path, config, nranks)` constructor is
-  /// gone: application call sites select engines by name through
-  /// bp::make_engine (src/bp/engine.hpp) so they stay engine-agnostic
-  /// (README "Engines" has the migration note).
+  /// Construction path used by the engine factory and Writer::open;
+  /// application call sites select engines by name through
+  /// bp::make_engine (src/bp/engine.hpp) so they stay engine-agnostic.
   Writer(ForEngineFactory, fsim::SharedFs& fs, std::string path,
          EngineConfig config, int nranks);
   ~Writer();
@@ -303,7 +305,6 @@ private:
     // Caller-owned bytes of a put_borrowed() chunk (valid until the step's
     // drain completes, per the deferred-Put contract).
     std::span<const std::uint8_t> borrowed;
-    bool synthetic = false;
 
     bool is_borrowed() const { return borrowed.data() != nullptr; }
     /// The chunk's payload wherever it lives (staged or borrowed).
@@ -316,7 +317,7 @@ private:
   /// Immutable snapshot of one step, handed to the drain worker.
   struct StepJob {
     std::uint64_t step = 0;
-    int kind = 0;  // see step_kind_
+    StepPayload payload = StepPayload::none;
     std::vector<std::pair<std::string, AttrValue>> attributes;
     std::vector<StepVar> vars;  // indexed by PendingChunk::var
     std::vector<std::vector<PendingChunk>> chunks;  // per rank
@@ -330,58 +331,98 @@ private:
   static constexpr std::uint32_t kDataLane = 1;
   static constexpr std::uint32_t kMetaLane = 2;
 
+  /// profiling.json accumulators (microseconds, like ADIOS2's profiler).
+  struct DrainTotals {
+    // Marshalling CPU: memcopy/compress on the critical path (sync), or
+    // drain on the overlapped lanes (async).
+    double memcopy_us = 0.0, compress_us = 0.0, drain_us = 0.0;
+    double crc_us = 0.0;  // per-chunk CRC32C time (both paths)
+    std::uint64_t raw_bytes = 0, stored_bytes = 0;
+    std::uint64_t zero_copy_chunks = 0;  // borrowed chunks drained
+  };
+
+  /// Every drain-mode decision, resolved once at open from EngineConfig
+  /// and the topology; drain_step() only reads it (DESIGN.md "Drain plan").
+  struct DrainPlan {
+    std::uint32_t data_lane = 0;  // 0 sync, kDataLane async
+    std::uint32_t meta_lane = 0;  // 0 sync, kMetaLane async
+    /// Bytes per per-op subfile write (and per synthetic slice): the whole
+    /// buffer when sync, buffer_chunk_mb when async.
+    std::uint64_t slice = 0;
+    /// Where marshalling/CRC CPU is charged: each rank on lane 0 right
+    /// after its chunks (sync), or the aggregator leader's data lane just
+    /// before its write (async); and its profiling.json bucket.
+    bool charge_leader = false;
+    fsim::OpTag marshal_tag = fsim::OpTag::memcopy;  // compress with a codec
+    double DrainTotals::*marshal_us = nullptr;  // memcopy/compress/drain_us
+    /// How marshalled bytes reach the aggregator leaders: not modelled
+    /// (single-node topology), rank -> leader, or rank -> node leader ->
+    /// aggregator leader.
+    enum class Gather { none, flat, two_level } gather = Gather::none;
+    std::size_t ring_depth = 0;  // 0: per-op pwrites, else one ring per lane
+    bool coalesce = false;
+  };
+
+  /// Per-rank or per-leader marshalling and checksum CPU seconds.
+  struct CpuCharge {
+    double marshal = 0.0, crc = 0.0;
+    void add(const CpuCharge& o) {
+      marshal += o.marshal;
+      crc += o.crc;
+    }
+  };
+
   /// Rollback point for retrying a failed drain attempt: everything
   /// drain_step() mutates.  A retry re-issues the same pwrites at the same
   /// offsets, so a partially landed attempt is simply overwritten.
   struct DrainSnapshot {
     std::vector<std::uint64_t> data_offsets;
     std::uint64_t md_offset = 0;
-    std::size_t index_size = 0;
-    std::size_t footer_steps = 0;
-    double memcopy_us = 0.0, compress_us = 0.0, drain_us = 0.0, crc_us = 0.0;
-    std::uint64_t raw_bytes = 0, stored_bytes = 0;
-    std::uint64_t zero_copy_chunks = 0;
+    std::size_t index_size = 0, footer_steps = 0;
+    DrainTotals totals;
   };
 
-  /// Check one put against the open step and intern its variable; returns
-  /// the step-local variable id.  Also enforces that a step is all-real or
-  /// all-synthetic.
-  std::uint32_t validate_put(int rank, const std::string& name,
-                             Datatype dtype, const Dims& shape,
-                             const Dims& offset, const Dims& count,
-                             bool synthetic) REQUIRES(mutex_);
+  /// Check one put against the open step (a step is all-real or
+  /// all-synthetic), intern its variable and append its pending chunk,
+  /// payload not yet attached.
+  PendingChunk& add_pending(int rank, const std::string& name, Datatype dtype,
+                            const Dims& shape, const Dims& offset,
+                            const Dims& count, StepPayload payload)
+      REQUIRES(mutex_);
+  /// The config after the constructor's checks (throws UsageError).
+  static EngineConfig validated(EngineConfig config, int nranks);
   /// Resolve the configured topology preset (with the engine's
   /// ranks_per_node and any numa/nic overrides applied) into the writer's
   /// rank placement.  Returns a trivial single-node mapper for inputs the
-  /// constructor body is about to reject anyway.
+  /// constructor is about to reject anyway.
   static topo::Mapper build_mapper(const EngineConfig& config, int nranks);
-  static void compute_stats(std::span<const std::uint8_t> payload,
-                            Datatype dtype, double& lo, double& hi);
-
-  /// What marshalling one real chunk produced: everything that depends on
-  /// the chunk alone, so chunks encode in parallel (encode_real_step).
-  struct EncodedChunk {
-    std::uint64_t stored_bytes = 0;
-    std::uint32_t crc = 0;  // CRC32C of the stored bytes
-    double stat_min = 0.0, stat_max = 0.0;
-    std::uint64_t content_hash = 0;  // FNV-1a 64 of the raw bytes
-  };
+  static DrainPlan make_plan(const EngineConfig& config,
+                             const topo::Mapper& mapper, bool codec);
 
   /// Marshal a real step's chunks into the per-aggregator buffers `agg`,
   /// each sized once from the codec's worst-case frame bounds: chunks are
   /// encoded in parallel on the shared thread pool and appended in
-  /// rank-major order.  Returns the per-chunk results in that order.
-  std::vector<EncodedChunk> encode_real_step(
+  /// rank-major order.  Returns each chunk's record (everything that
+  /// depends on the chunk alone) in that order.
+  std::vector<ChunkRecord> encode_real_step(
       const StepJob& job, std::vector<std::vector<std::uint8_t>>& agg);
   int leader_of(int aggregator) const;
+  /// The drain of one step, in four stages that read plan_: record the
+  /// chunks (with the gather's first hop and sync CPU charges per rank),
+  /// the two-level second hop, charge and write per aggregator, metadata.
+  /// A synthetic step's chunk records are sized on the fly.
   void drain_step(const StepJob& job);
+  void charge(fsim::FsClient client, const CpuCharge& cpu) const;
+  void write_subfile(fsim::FsClient client, std::size_t aggregator,
+                     std::span<const std::uint8_t> data, std::uint64_t bytes,
+                     const std::vector<std::uint64_t>& extents);
+  void write_metadata(std::uint64_t step, const StepRecord& record);
+  /// (Re)write the md.idx header: magic and the drained step count.
+  void write_index_header();
   void drain_job_with_retries(const StepJob& job) EXCLUDES(drain_mutex_);
   /// Return a drained job's chunk buffers to the pool (after the last
   /// retry — a retried attempt re-reads the same buffers).
   void recycle_job(StepJob& job);
-  /// CPU seconds charged for compressing `raw_bytes` (parallel wall time
-  /// when compress_threads > 1, serial otherwise).
-  double compress_cpu_seconds(std::uint64_t raw_bytes) const;
   DrainSnapshot snapshot_drain_state() const;
   void restore_drain_state(const DrainSnapshot& snap);
   void drain_loop() EXCLUDES(drain_mutex_);
@@ -407,14 +448,14 @@ private:
   // put() and whichever thread drains.
   cz::BufferPool buffer_pool_;
   std::unique_ptr<cz::Codec> codec_;  // null when config_.codec == "none"
+  const DrainPlan plan_;
 
   // Step-state lock.  Taken before drain_mutex_ (begin_step holds it while
   // waiting out the backpressure bound); never the other way around.
   mutable util::Mutex mutex_ ACQUIRED_BEFORE(drain_mutex_);
   bool step_open_ GUARDED_BY(mutex_) = false;
   bool closed_ GUARDED_BY(mutex_) = false;
-  // 0 = no puts yet, 1 = real payloads, 2 = synthetic
-  int step_kind_ GUARDED_BY(mutex_) = 0;
+  StepPayload step_payload_ GUARDED_BY(mutex_) = StepPayload::none;
   std::uint64_t current_step_ GUARDED_BY(mutex_) = 0;
   std::uint64_t steps_written_ GUARDED_BY(mutex_) = 0;
   // Per-rank pending chunk tables of the open step.
@@ -446,22 +487,13 @@ private:
   // state like index_.
   std::vector<std::vector<std::uint8_t>> footer_steps_;
 
-  // profiling.json accumulators (microseconds, like ADIOS2's profiler).
-  // With async_write, marshalling/compression time lands in drain_us_total_
-  // (the overlapped lane) instead of memcopy/compress (the critical path).
-  double memcopy_us_total_ = 0.0;
-  double compress_us_total_ = 0.0;
-  double drain_us_total_ = 0.0;
-  double crc_us_total_ = 0.0;  // per-chunk CRC32C time (both paths)
-  std::uint64_t raw_bytes_total_ = 0;
-  std::uint64_t stored_bytes_total_ = 0;
+  DrainTotals totals_;
   // Zero-copy marshal accounting (the Fig 8 extension): how many chunks
-  // paid the put() staging copy vs rode the borrowed-span path.  Emitted in
-  // profiling.json only when a borrowed put occurred, so staged-only
-  // containers keep the legacy profile byte-for-byte.  stage_copies is
-  // put-side (guarded by mutex_); zero_copy_chunks is drain-side state.
+  // paid the put() staging copy vs rode the borrowed-span path
+  // (totals_.zero_copy_chunks).  Emitted in profiling.json only when a
+  // borrowed put occurred, so staged-only containers keep the legacy
+  // profile byte-for-byte.
   std::uint64_t stage_copies_total_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t zero_copy_chunks_total_ = 0;
 
   // Async drain state.  The worker owns the file-offset tables and
   // profiling accumulators between submit and join; callers only touch

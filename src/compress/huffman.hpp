@@ -7,7 +7,7 @@
 // are capped at kMaxCodeLen by iterative frequency flattening, the classic
 // bzip2 approach.  Decoding is table-driven: a flat 2^kMaxCodeLen lookup
 // resolves one symbol per load (the seed bit-at-a-time canonical walk is
-// preserved in compress/reference.hpp).
+// preserved in tests/frozen/compress_reference.hpp).
 
 #include <cstdint>
 

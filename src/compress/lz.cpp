@@ -264,7 +264,9 @@ void lz_decompress_block_into(ByteSpan block, std::uint8_t* out,
       throw FormatError("lz: literal overrun");
     if (std::size_t(oend - op) < lit_len)
       throw FormatError("lz: output overrun");
-    std::memcpy(op, ip, lit_len);
+    // An empty output may have no buffer at all, and memcpy's pointers
+    // must be valid even for zero bytes.
+    if (lit_len > 0) std::memcpy(op, ip, lit_len);
     ip += lit_len;
     op += lit_len;
     if (ip >= iend) break;  // final literal-only sequence

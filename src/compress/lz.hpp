@@ -12,8 +12,8 @@
 // one-step lazy matching and LZ4-style skip acceleration through literal
 // runs, over thread-local scratch tables so repeated calls allocate
 // nothing.  The seed single-probe greedy encoder is preserved in
-// compress/reference.hpp; both emit the same format and their streams are
-// mutually decodable.
+// tests/frozen/compress_reference.hpp; both emit the same format and their
+// streams are mutually decodable.
 
 #include "compress/codec.hpp"
 

@@ -152,6 +152,9 @@ void shuffle_into(ByteSpan input, std::size_t typesize, std::uint8_t* out) {
   if (typesize == 0) throw UsageError("shuffle: typesize must be > 0");
   const std::size_t n = input.size() / typesize;  // whole elements
   const std::uint8_t* in = input.data();
+  // memcpy's pointers must be valid even for zero bytes, and an empty span
+  // may carry a null data pointer.
+  if (input.empty()) return;
   switch (typesize) {
     case 1: std::memcpy(out, in, n); break;
     case 2: shuffle_fixed<2>(in, n, out); break;
@@ -177,6 +180,7 @@ void unshuffle_into(ByteSpan input, std::size_t typesize, std::uint8_t* out) {
   if (typesize == 0) throw UsageError("unshuffle: typesize must be > 0");
   const std::size_t n = input.size() / typesize;
   const std::uint8_t* in = input.data();
+  if (input.empty()) return;  // see shuffle_into
   switch (typesize) {
     case 1: std::memcpy(out, in, n); break;
     case 2: unshuffle_fixed<2>(in, n, out); break;

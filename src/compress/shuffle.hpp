@@ -7,8 +7,9 @@
 // The kernels are single-pass and cache-blocked: common element widths
 // (2/4/8/16) read the input once and feed `typesize` sequential plane
 // streams, other widths transpose in L1-sized element tiles.  The seed
-// strided one-byte-at-a-time loops live on in compress/reference.hpp for
-// differential tests and bench baselines.
+// strided one-byte-at-a-time loops live on in
+// tests/frozen/compress_reference.hpp for differential tests and bench
+// baselines.
 
 #include "compress/codec.hpp"
 

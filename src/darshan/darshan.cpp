@@ -143,18 +143,10 @@ private:
   std::size_t pos_ = 0;
 };
 
-// Log format version 3 adds the per-record faults_injected counter;
-// version 4 adds the job-level recovery counters; version 5 adds the
-// per-record two-level-aggregation gather counters; version 6 adds the
-// job-level incremental-checkpoint counters; version 7 adds the batched
-// queue-pair counters (per-record batches_submitted / batched_sqes /
-// coalesced_bytes plus the job-level ops-per-batch histogram).  parse()
-// accepts all of them — older logs read back with the newer counters at
-// zero.
-constexpr std::uint64_t kLogMagicV3 = 0x4452534e4c4f4733ull;  // "DRSNLOG3"
-constexpr std::uint64_t kLogMagicV4 = 0x4452534e4c4f4734ull;  // "DRSNLOG4"
-constexpr std::uint64_t kLogMagicV5 = 0x4452534e4c4f4735ull;  // "DRSNLOG5"
-constexpr std::uint64_t kLogMagicV6 = 0x4452534e4c4f4736ull;  // "DRSNLOG6"
+// Log format version 7 ("DRSNLOG7"): job info with the recovery,
+// incremental-checkpoint and ops-per-batch counters, then per-record POSIX,
+// gather and batched queue-pair counters.  parse() reads this version only;
+// any other magic is a FormatError.
 constexpr std::uint64_t kLogMagic = 0x4452534e4c4f4737ull;    // "DRSNLOG7"
 
 }  // namespace
@@ -206,28 +198,20 @@ std::vector<std::uint8_t> DarshanLog::serialize() const {
 
 DarshanLog DarshanLog::parse(std::span<const std::uint8_t> data) {
   Cursor cur(data);
-  const std::uint64_t magic = cur.u64();
-  if (magic != kLogMagic && magic != kLogMagicV6 && magic != kLogMagicV5 &&
-      magic != kLogMagicV4 && magic != kLogMagicV3)
-    throw FormatError("darshan: bad log magic");
+  if (cur.u64() != kLogMagic) throw FormatError("darshan: bad log magic");
   DarshanLog log;
   log.job.exe = cur.str();
   log.job.nprocs = std::uint32_t(cur.u64());
   log.job.runtime_s = cur.f64();
   log.job.mount = cur.str();
-  if (magic != kLogMagicV3) {
-    log.job.recoveries = cur.u64();
-    log.job.degradations = cur.u64();
-    log.job.t_recovery_s = cur.f64();
-  }
-  if (magic == kLogMagic || magic == kLogMagicV6) {
-    log.job.delta_epochs = cur.u64();
-    log.job.dedup_bytes_saved = cur.u64();
-    log.job.blocks_restored = cur.u64();
-    log.job.t_restore_s = cur.f64();
-  }
-  if (magic == kLogMagic)
-    for (std::uint64_t& bucket : log.job.ops_per_batch) bucket = cur.u64();
+  log.job.recoveries = cur.u64();
+  log.job.degradations = cur.u64();
+  log.job.t_recovery_s = cur.f64();
+  log.job.delta_epochs = cur.u64();
+  log.job.dedup_bytes_saved = cur.u64();
+  log.job.blocks_restored = cur.u64();
+  log.job.t_restore_s = cur.f64();
+  for (std::uint64_t& bucket : log.job.ops_per_batch) bucket = cur.u64();
   const std::uint64_t n = cur.u64();
   log.records.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -248,18 +232,14 @@ DarshanLog DarshanLog::parse(std::span<const std::uint8_t> data) {
     r.meta_time_s = cur.f64();
     r.drain_time_s = cur.f64();
     r.faults_injected = cur.u64();
-    if (magic != kLogMagicV3 && magic != kLogMagicV4) {
-      r.shm_gathers = cur.u64();
-      r.net_gathers = cur.u64();
-      r.shm_gather_bytes = cur.u64();
-      r.net_gather_bytes = cur.u64();
-      r.gather_time_s = cur.f64();
-    }
-    if (magic == kLogMagic) {
-      r.batches_submitted = cur.u64();
-      r.batched_sqes = cur.u64();
-      r.coalesced_bytes = cur.u64();
-    }
+    r.shm_gathers = cur.u64();
+    r.net_gathers = cur.u64();
+    r.shm_gather_bytes = cur.u64();
+    r.net_gather_bytes = cur.u64();
+    r.gather_time_s = cur.f64();
+    r.batches_submitted = cur.u64();
+    r.batched_sqes = cur.u64();
+    r.coalesced_bytes = cur.u64();
     log.records.push_back(std::move(r));
   }
   if (!cur.done()) throw FormatError("darshan: trailing bytes in log");

@@ -88,8 +88,7 @@ struct FileRecord {
   // Per-level gather counters of the two-level aggregation path (log
   // format v5): OpKind::xfer transfers feeding this file, split by gather
   // level — in-node shared-memory hops (fsim::kShmGatherTag) vs inter-node
-  // NIC hops (kNetGatherTag).  Zero for flat aggregation and for every
-  // log captured before v5.
+  // NIC hops (kNetGatherTag).  Zero for flat aggregation.
   std::uint64_t shm_gathers = 0;
   std::uint64_t net_gathers = 0;
   std::uint64_t shm_gather_bytes = 0;
@@ -99,8 +98,7 @@ struct FileRecord {
   // submissions into this file.  batches_submitted counts doorbells (one
   // per SubmissionQueue::submit), batched_sqes counts the sqes they
   // carried, and coalesced_bytes the bytes that travelled in vectored
-  // records merging >= 2 adjacent sqes.  Zero on the posix write path and
-  // for every log captured before v7.
+  // records merging >= 2 adjacent sqes.  Zero on the posix write path.
   std::uint64_t batches_submitted = 0;
   std::uint64_t batched_sqes = 0;
   std::uint64_t coalesced_bytes = 0;
@@ -176,7 +174,8 @@ public:
 
   /// Serialize to the compact binary log format.
   std::vector<std::uint8_t> serialize() const;
-  /// Parse a serialized log.  Throws FormatError on corruption.
+  /// Parse a serialized log (format v7 only).  Throws FormatError on
+  /// corruption or any other version magic.
   static DarshanLog parse(std::span<const std::uint8_t> data);
 
   /// darshan-parser-style text listing.

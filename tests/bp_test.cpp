@@ -7,6 +7,7 @@
 
 #include "bp/reader.hpp"
 #include "bp/writer.hpp"
+#include "darshan/darshan.hpp"
 #include "fsim/fault_plan.hpp"
 #include "fsim/storage_model.hpp"
 #include "util/binio.hpp"
@@ -817,7 +818,7 @@ TEST(BpHardening, TruncatedStepMetadataAlwaysFormatError) {
 
 TEST(BpHardening, TruncatedIndexAlwaysFormatError) {
   const auto bytes =
-      encode_index({{0, 0, 100, 0x1234, true}, {1, 100, 80, 0x5678, true}});
+      encode_index({{0, 0, 100, 0x1234}, {1, 100, 80, 0x5678}});
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     SCOPED_TRACE("prefix length " + std::to_string(len));
     EXPECT_THROW(
@@ -827,60 +828,42 @@ TEST(BpHardening, TruncatedIndexAlwaysFormatError) {
 }
 
 TEST(BpHardening, UnknownFormatVersionIsTypedFormatError) {
-  // A future (or garbage) magic must be rejected up front, not parsed as
-  // whichever version the bytes happen to resemble.
-  BinWriter md;
-  md.u32(0x4D443036);  // "MD06": plausible next version, unknown to us
-  md.u64(1);
-  md.u32(0);
-  md.u32(0);
-  EXPECT_THROW(decode_step(md.take()), FormatError);
-
-  BinWriter idx;
-  idx.u32(0x49445836);  // "IDX6"
-  idx.u32(0);
-  EXPECT_THROW(decode_index(idx.take()), FormatError);
-}
-
-TEST(BpHardening, LegacyV4ContainersStillDecode) {
-  // Format v5 added CRCs; v4 bytes (no chunk CRC fields, no trailing
-  // metadata CRC, 24-byte index entries) must stay readable.
-  BinWriter md;
-  md.u32(kMdMagic);
-  md.u64(7);
-  md.u32(1);  // one variable
-  md.str("x");
-  md.u8(std::uint8_t(Datatype::float32));
-  md.dims({8});
-  md.u32(1);  // one chunk
-  md.dims({0});
-  md.dims({8});
-  md.u32(0);   // writer_rank
-  md.u32(0);   // subfile
-  md.u64(0);   // file_offset
-  md.u64(32);  // stored_bytes
-  md.u64(32);  // raw_bytes
-  md.str("");
-  md.f64(0.0);
-  md.f64(7.0);
-  md.u32(0);  // no attributes
-  const StepRecord record = decode_step(md.take());
-  EXPECT_EQ(record.step, 7u);
-  ASSERT_EQ(record.variables.size(), 1u);
-  ASSERT_EQ(record.variables[0].chunks.size(), 1u);
-  EXPECT_FALSE(record.variables[0].chunks[0].has_crc);
-
-  BinWriter idx;
-  idx.u32(kIdxMagic);
-  idx.u32(1);
-  idx.u64(3);   // step
-  idx.u64(0);   // md_offset
-  idx.u64(40);  // md_length
-  const auto entries = decode_index(idx.take());
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].step, 3u);
-  EXPECT_EQ(entries[0].md_length, 40u);
-  EXPECT_FALSE(entries[0].has_crc);
+  // A future magic, or one of the retired v4/v5 versions, must be rejected
+  // up front by name, not parsed as whichever version the bytes happen to
+  // resemble.  The metadata blocks carry a valid trailing CRC, so only the
+  // magic check can reject them.
+  auto expect_rejected = [](auto decode, std::vector<std::uint8_t> bytes,
+                            const std::string& magic) {
+    try {
+      decode(bytes);
+      ADD_FAILURE() << "accepted magic " << magic;
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("magic \"" + magic + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  const std::pair<std::uint32_t, const char*> md_magics[] = {
+      {0x4D443037, "MD07"}, {0x4D443035, "MD05"}, {0x4D443034, "MD04"}};
+  for (const auto& [magic, name] : md_magics) {
+    BinWriter md;
+    md.u32(magic);
+    md.u64(1);
+    md.u32(0);
+    md.u32(0);
+    md.u32(crc32c(md.buffer()));
+    expect_rejected([](const auto& b) { return decode_step(b); }, md.take(),
+                    name);
+  }
+  const std::pair<std::uint32_t, const char*> idx_magics[] = {
+      {0x49445836, "IDX6"}, {0x49445834, "IDX4"}};
+  for (const auto& [magic, name] : idx_magics) {
+    BinWriter idx;
+    idx.u32(magic);
+    idx.u32(0);
+    expect_rejected([](const auto& b) { return decode_index(b); },
+                    idx.take(), name);
+  }
 }
 
 // -------------------------------------------------------------- integrity ---
@@ -1336,6 +1319,268 @@ TEST(BpMarshal, GrowingStepWithinSizeClassMissesNoPoolBuffer) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u) << "hits=" << stats.hits;
   writer.close();
+}
+
+
+// ------------------------------------------------------------ drain plan ---
+
+/// One cell of the drain-mode matrix: every choice the writer resolves at
+/// open (lanes, write slice, charge site, gather mode, submit mode) plus
+/// the step payload kind.
+struct DrainCase {
+  bool async;
+  int batch_depth;  // 0 = per-op pwrites
+  bool coalesce;
+  int payload;      // 0 staged put(), 1 put_borrowed(), 2 put_synthetic()
+  const char* aggregation;
+  const char* topology;
+  const char* codec;
+};
+
+std::string drain_case_name(const DrainCase& c) {
+  static const char* const kPayload[] = {"staged", "borrowed", "synthetic"};
+  std::string submit = c.batch_depth == 0 ? "per-op" : "ring";
+  if (c.coalesce) submit += "+coalesce";
+  return std::string(c.async ? "async" : "sync") + "/" + submit + "/" +
+         kPayload[c.payload] + "/" + c.aggregation + "@" + c.topology + "/" +
+         c.codec;
+}
+
+/// Appends fixed-width fields to a byte buffer for hashing.
+struct Digest {
+  std::vector<std::uint8_t> bytes;
+  template <typename T>
+  void add(T value) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+    bytes.insert(bytes.end(), p, p + sizeof(T));
+  }
+  void add_bytes(std::span<const std::uint8_t> data) {
+    add(std::uint64_t(data.size()));
+    bytes.insert(bytes.end(), data.begin(), data.end());
+  }
+  void add_str(const std::string& s) {
+    add_bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  }
+};
+
+/// Payloads of the drain matrix, built once and alive for the whole test
+/// (borrowed puts read them at drain).  Per (step, rank): incompressible
+/// int32 noise (70 000 elements in step 0, so each of the two aggregators
+/// holds more than one 1 MiB async slice even under blosc; 5 000 in step
+/// 1), a float64 ramp, a 4 x 16 uint8 block of a 2-D variable, and two
+/// odd-sized chunks, so that adding a rank's CPU charges per chunk or per
+/// rank rounds differently.
+struct DrainPayloads {
+  static constexpr int kRanks = 8;
+  std::vector<std::int32_t> noise[2][kRanks];
+  std::vector<double> ramp[2][kRanks];
+  std::vector<std::uint8_t> mask[2][kRanks];
+  std::vector<float> odd[2][kRanks];
+  std::vector<std::uint64_t> tiny[2][kRanks];
+
+  DrainPayloads() {
+    Rng rng(16);
+    for (int step = 0; step < 2; ++step)
+      for (int r = 0; r < kRanks; ++r) {
+        noise[step][r].resize(step == 0 ? 70000 : 5000);
+        for (std::int32_t& v : noise[step][r]) v = std::int32_t(rng());
+        ramp[step][r].resize(300);
+        for (std::size_t i = 0; i < 300; ++i)
+          ramp[step][r][i] = double(step * 1000 + r * 300) + double(i);
+        mask[step][r].resize(4 * 16);
+        for (std::uint8_t& v : mask[step][r]) v = std::uint8_t(rng.below(3));
+        odd[step][r].resize(977);
+        for (float& v : odd[step][r]) v = float(rng.uniform());
+        tiny[step][r] = {std::uint64_t(r), std::uint64_t(step), 7};
+      }
+  }
+};
+
+/// Write a small 2-step, 8-rank job in one drain mode and hash everything
+/// it leaves behind: every container file, every trace op field by field,
+/// the replay report and the Darshan log.
+std::uint64_t drain_digest(const DrainCase& c) {
+  static const DrainPayloads data;
+  const int nranks = DrainPayloads::kRanks;
+  fsim::SharedFs fs(4);
+  EngineConfig config;
+  config.codec = c.codec;
+  config.profiling = true;
+  config.async_write = c.async;
+  config.io_batch_depth = c.batch_depth;
+  config.coalesce_writes = c.coalesce;
+  config.aggregation = c.aggregation;
+  config.topology = c.topology;
+  config.ranks_per_node = 4;
+  config.num_aggregators = 2;
+  config.buffer_chunk_mb = 1;
+  config.synthetic_codec_ratio = 0.375;
+  const std::string path = "drain/plan.bp4";
+  {
+    Writer writer = Writer::open(fs, path, config, nranks);
+    for (int step = 0; step < 2; ++step) {
+      writer.begin_step(std::uint64_t(step));
+      for (int r = 0; r < nranks; ++r) {
+        if (step == 0 && r == 5) continue;  // a rank with no chunks
+        const auto& noise = data.noise[step][r];
+        const std::uint64_t ur = std::uint64_t(r), nx = noise.size();
+        const std::vector<std::pair<std::string, ChunkView>> chunks{
+            {"noise", ChunkView::of<std::int32_t>(noise, {ur * nx}, {nx})},
+            {"ramp",
+             ChunkView::of<double>(data.ramp[step][r], {ur * 300}, {300})},
+            {"mask", ChunkView::of<std::uint8_t>(data.mask[step][r],
+                                                 {ur * 4, 0}, {4, 16})},
+            {"odd", ChunkView::of<float>(data.odd[step][r], {ur * 977},
+                                         {977})},
+            {"tiny",
+             ChunkView::of<std::uint64_t>(data.tiny[step][r], {ur * 3}, {3})},
+        };
+        for (const auto& [name, view] : chunks) {
+          Dims shape = view.count();
+          shape[0] *= std::uint64_t(nranks);
+          if (c.payload == 0)
+            writer.put(r, name, shape, view);
+          else if (c.payload == 1)
+            writer.put_borrowed(r, name, shape, view);
+          else
+            writer.put_synthetic(r, name, view.dtype(), shape, view.offset(),
+                                 view.count());
+        }
+      }
+      writer.add_attribute("time", AttrValue(0.25 * double(step)));
+      writer.end_step();
+    }
+    writer.close();
+  }
+
+  Digest d;
+  for (const fsim::FileNode* node : fs.store().list_recursive(path)) {
+    d.add_str(node->path);
+    d.add_bytes(node->data);
+  }
+  for (const fsim::TraceOp& op : fs.trace()) {
+    d.add(op.client);
+    d.add(op.kind);
+    d.add(op.tag);
+    d.add(op.lane);
+    d.add(op.file);
+    d.add(op.offset);
+    d.add(op.bytes);
+    d.add(op.cpu_seconds);
+    d.add(op.op_count);
+    d.add(op.peer);
+    d.add(op.fault);
+  }
+  fsim::SystemProfile profile = fsim::dardel();
+  profile.ranks_per_node = config.ranks_per_node;
+  profile.noise_amplitude = 0.0;
+  const fsim::ReplayReport replay =
+      fsim::replay_trace(profile, fs.store(), fs.trace(), nranks);
+  for (const fsim::ClientTimes& t : replay.clients) {
+    for (double v : {t.meta, t.write, t.read, t.cpu, t.drain, t.end}) d.add(v);
+    for (std::uint64_t v :
+         {t.meta_ops, t.write_calls, t.read_calls, t.drain_calls})
+      d.add(v);
+  }
+  d.add(replay.makespan);
+  d.add(replay.bytes_written);
+  d.add(replay.bytes_read);
+  d.add(replay.bytes_transferred);
+  for (const auto& [tag, seconds] : replay.cpu_by_tag) {
+    d.add_str(tag);
+    d.add(seconds);
+  }
+  for (double v : replay.op_durations) d.add(v);
+  for (double v : replay.ost_busy_seconds) d.add(v);
+  for (double v : replay.ost_busy_until) d.add(v);
+  d.add(replay.mds_busy_seconds);
+  darshan::JobInfo job;
+  job.nprocs = nranks;
+  d.add_bytes(darshan::capture(fs, replay, job).serialize());
+  return util::hash64(d.bytes);
+}
+
+TEST(BpDrainPlan, TraceContainerAndReplayArePinned) {
+  // Digests taken from the writer that re-decided every mode per step,
+  // rank and chunk: the drain plan resolved at open must leave the same
+  // container, the same trace op for op, the same replayed times and the
+  // same Darshan log in every cell of the matrix.
+  // Cases in loop order; per group the six aggregation@topology x codec
+  // cells run flat@flat, flat@dardel, two_level@dardel, each none then
+  // blosc.
+  static const std::uint64_t kPinned[] = {
+      // sync/per-op/staged
+      0xbf86d6295a2aececull, 0xa57c287fe4222facull, 0xb89051d795a5fa0bull,
+      0xdb5101754d5df815ull, 0xb5550c42afb26de6ull, 0x3d23806446f9b559ull,
+      // sync/per-op/borrowed
+      0x69b092a2aff8e4c3ull, 0x1a13384ff4f3ee21ull, 0xb52f8f1bd2b5a2faull,
+      0x17f9509c65b4b72aull, 0x6d16ddcef481fba4ull, 0xec6867ef8a0f0e3eull,
+      // sync/per-op/synthetic
+      0x8d3353efa589bae1ull, 0x8a536545f95927efull, 0xb934693ba1f1bdd8ull,
+      0xff1aae52877cda57ull, 0x36bbea218c99fd17ull, 0x2154c097cf7ea138ull,
+      // sync/ring/staged
+      0x904dde7781c77b7bull, 0x92b95713602feabdull, 0x7f90efb3313f2e7full,
+      0x07072ac783990d1bull, 0x36f32cf1f2579ffeull, 0x7998a604b6e5e8aeull,
+      // sync/ring/borrowed
+      0x3fc4528f558c7135ull, 0xc08fe154fbb58386ull, 0xb99c159ae6b41974ull,
+      0xb831c20b30e5b822ull, 0x14552a62be9ab4f2ull, 0xdedd58c0b9e005a3ull,
+      // sync/ring/synthetic
+      0x33b1afdc44a0e60aull, 0x3ef8c63af6d7b2ceull, 0xfd0921ba29d634a6ull,
+      0x8f27cb3526f1ddf5ull, 0xe85040ed181b08e7ull, 0x14a80c73d95a03b5ull,
+      // sync/ring+coalesce/staged
+      0xae2db4d85e54ff24ull, 0x8865b8649225e0d1ull, 0x1df28eccb076a3a3ull,
+      0x39fc3f759e000563ull, 0xc6f1975c1de005e6ull, 0x74a38e24bf7a8bc2ull,
+      // sync/ring+coalesce/borrowed
+      0xe43e485417e354b0ull, 0x990531cabaa35b3aull, 0x600d2b0375e27e78ull,
+      0x56849eaa11fcab54ull, 0x4fb3d675c9e2ea32ull, 0x16401b48aaeccb91ull,
+      // sync/ring+coalesce/synthetic
+      0x7d89cc416d0c929cull, 0xbe471b419c991f21ull, 0x354b47fa3ba7f49bull,
+      0x673b101cc7a00099ull, 0x55e6be0630a734d8ull, 0x4eea38def16da592ull,
+      // async/per-op/staged
+      0x495f18e66232c4f0ull, 0x18acc81d4359c548ull, 0x425de509384ee1a2ull,
+      0x79ad0ef03f5e12f3ull, 0x4b0c2afd640d717full, 0x032c787d94e41a1aull,
+      // async/per-op/borrowed
+      0xd0e58f240e968e54ull, 0x4db7365590aa362eull, 0x1c37ce99edec1910ull,
+      0xe7860fda2095ebd6ull, 0xc4fe71bf10378fdaull, 0xa4d9bc9ce722571dull,
+      // async/per-op/synthetic
+      0x96832074776e5e6bull, 0x74c980585d3bcb2eull, 0x73ba0612b826a1e9ull,
+      0x6a2c273b6f3e0806ull, 0x000e3ba30ce1e844ull, 0xd8831654880d54e4ull,
+      // async/ring/staged
+      0xeb59f23183c84f4eull, 0xfd1e9cf872032113ull, 0xb3144eb076f20194ull,
+      0xecf6edbbb1a5eb8cull, 0x0b704ece04feeaeeull, 0xb24dca4f0344c5a6ull,
+      // async/ring/borrowed
+      0xd7864b260b381823ull, 0x407210782df45f1full, 0x70f70630271cc36aull,
+      0x66eac528b7413c1cull, 0x4adcb3b1d7ac5f66ull, 0xff483ff54b773f3full,
+      // async/ring/synthetic
+      0xea41c2ff1444914cull, 0x67b11b2702b5cd21ull, 0x960fa1fb0adcee14ull,
+      0x6f0dc8aeac6dc2afull, 0xa0395c114ead9d0dull, 0xd223b9dcf7838d07ull,
+      // async/ring+coalesce/staged
+      0xa80a197ca84e2a2dull, 0x52619fc6147e0c57ull, 0x1d6053a51c017977ull,
+      0xd0bf950d385a8a96ull, 0xaad57dc1acec7603ull, 0x0f0bffced6b339b2ull,
+      // async/ring+coalesce/borrowed
+      0x0a4aaa25bcebbc74ull, 0xb921332b77e0a9feull, 0x77f3bc409fdd553dull,
+      0x1f895b131e046510ull, 0xb1d9e710200caa31ull, 0xa908be848858a42dull,
+      // async/ring+coalesce/synthetic
+      0x5c9027442b33da51ull, 0xcd9f490e7054fe82ull, 0x102cb1ac20d6ce0aull,
+      0xe11a3c3b925e1a2eull, 0x967101cb10569a23ull, 0x8e6ee1980364764dull,
+  };
+  std::vector<DrainCase> cases;
+  for (const bool async : {false, true})
+    for (const auto& [depth, coalesce] :
+         {std::pair{0, false}, std::pair{4, false}, std::pair{4, true}})
+      for (const int payload : {0, 1, 2})
+        for (const auto& [aggregation, topology] :
+             {std::pair{"flat", "flat"}, std::pair{"flat", "dardel"},
+              std::pair{"two_level", "dardel"}})
+          for (const char* codec : {"none", "blosc"})
+            cases.push_back({async, depth, coalesce, payload, aggregation,
+                             topology, codec});
+  ASSERT_EQ(cases.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::uint64_t digest = drain_digest(cases[i]);
+    EXPECT_EQ(digest, kPinned[i])
+        << drain_case_name(cases[i]) << " digest 0x" << std::hex << digest;
+  }
 }
 
 }  // namespace

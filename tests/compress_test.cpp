@@ -9,7 +9,7 @@
 #include "compress/huffman.hpp"
 #include "compress/lz.hpp"
 #include "compress/parallel.hpp"
-#include "compress/reference.hpp"
+#include "frozen/compress_reference.hpp"
 #include "compress/shuffle.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"

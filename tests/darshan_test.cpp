@@ -116,120 +116,29 @@ TEST(Darshan, RecoveryCountersRoundTripInV4Logs) {
             std::string::npos);
 }
 
-namespace {
-
-// Byte length of one serialized FileRecord minus its path string: rank +
-// the 13 v3-era counters, then (v5+) the 5 gather counters and (v7) the
-// 3 batched queue-pair counters.
-constexpr std::size_t kRecordFixedV3Bytes = 8 + 13 * 8;
-constexpr std::size_t kRecordGatherBytes = 5 * 8;
-constexpr std::size_t kRecordBatchBytes = 3 * 8;  // v7 queue-pair counters
-constexpr std::size_t kJobRecoveryBytes = 3 * 8;  // v4+ recovery counters
-constexpr std::size_t kJobCkptBytes = 4 * 8;      // v6 checkpoint counters
-constexpr std::size_t kJobBatchHistBytes = 5 * 8;  // v7 ops-per-batch buckets
-
-/// Rewrite a current (v7) serialized log as an older format: strip the
-/// job ops-per-batch histogram and per-record batch counters, the 4 job
-/// checkpoint counters, optionally the job recovery counters and the
-/// per-record gather counters, and patch the magic's version byte.
-std::vector<std::uint8_t> downgrade_log(std::vector<std::uint8_t> bytes,
-                                        char version) {
-  auto u64_at = [&](std::size_t off) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + off, sizeof(v));
-    return v;
-  };
-  auto erase_at = [&](std::size_t off, std::size_t n) {
-    bytes.erase(bytes.begin() + std::ptrdiff_t(off),
-                bytes.begin() + std::ptrdiff_t(off + n));
-  };
-  std::size_t off = 8;                      // magic
-  off += 8 + u64_at(off);                   // exe
-  off += 8;                                 // nprocs
-  off += 8;                                 // runtime
-  off += 8 + u64_at(off);                   // mount
-  if (version == '3') {
-    erase_at(off, kJobRecoveryBytes + kJobCkptBytes + kJobBatchHistBytes);
-  } else {
-    off += kJobRecoveryBytes;               // v4+ keep the recovery counters
-    if (version == '6') {
-      off += kJobCkptBytes;                 // v6 keeps the ckpt counters
-      erase_at(off, kJobBatchHistBytes);
-    } else {
-      erase_at(off, kJobCkptBytes + kJobBatchHistBytes);
+TEST(Darshan, RejectsPreV7LogMagics) {
+  // Only the current format (DRSNLOG7) is readable: a log carrying an
+  // older version byte is a FormatError, never parsed with the newer
+  // counters silently misaligned.
+  SharedFs fs(8);
+  populate_two_rank_job(fs);
+  auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
+  auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
+  const auto current = log.serialize();
+  ASSERT_NO_THROW(DarshanLog::parse(current));
+  for (const char version : {'3', '4', '5', '6'}) {
+    SCOPED_TRACE(std::string("DRSNLOG") + version);
+    auto bytes = current;
+    for (std::size_t i = 0; i < 8; ++i)
+      if (bytes[i] == std::uint8_t('7')) bytes[i] = std::uint8_t(version);
+    try {
+      (void)DarshanLog::parse(bytes);
+      ADD_FAILURE() << "parsed a pre-v7 log";
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos)
+          << e.what();
     }
   }
-  const std::uint64_t nrecords = u64_at(off);
-  off += 8;
-  for (std::uint64_t r = 0; r < nrecords; ++r) {
-    off += 8 + u64_at(off);                 // path
-    off += kRecordFixedV3Bytes;
-    if (version == '5' || version == '6')
-      off += kRecordGatherBytes;            // v5+ keep the gather counters
-    else
-      erase_at(off, kRecordGatherBytes);
-    erase_at(off, kRecordBatchBytes);       // v7 added the batch counters
-  }
-  for (std::size_t i = 0; i < 8; ++i)
-    if (bytes[i] == std::uint8_t('7')) bytes[i] = std::uint8_t(version);
-  return bytes;
-}
-
-}  // namespace
-
-TEST(Darshan, ParsesLegacyV3LogsWithZeroRecoveryCounters) {
-  SharedFs fs(8);
-  populate_two_rank_job(fs);
-  auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
-  auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
-  const auto bytes = downgrade_log(log.serialize(), '3');
-
-  const DarshanLog back = DarshanLog::parse(bytes);
-  EXPECT_EQ(back.job.exe, log.job.exe);
-  EXPECT_EQ(back.records.size(), log.records.size());
-  EXPECT_EQ(back.total_bytes_written(), log.total_bytes_written());
-  EXPECT_EQ(back.job.recoveries, 0u);
-  EXPECT_EQ(back.job.degradations, 0u);
-  EXPECT_DOUBLE_EQ(back.job.t_recovery_s, 0.0);
-}
-
-TEST(Darshan, ParsesLegacyV4LogsWithZeroGatherCounters) {
-  SharedFs fs(8);
-  populate_two_rank_job(fs);
-  FsClient(fs, 0).charge_cpu(1.5, fsim::OpTag::recovery);
-  auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
-  auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
-  const auto bytes = downgrade_log(log.serialize(), '4');
-
-  const DarshanLog back = DarshanLog::parse(bytes);
-  EXPECT_EQ(back.records.size(), log.records.size());
-  EXPECT_EQ(back.total_bytes_written(), log.total_bytes_written());
-  EXPECT_EQ(back.job.recoveries, 1u);  // v4 keeps the recovery counters
-  for (const auto& r : back.records) {
-    EXPECT_EQ(r.shm_gathers, 0u);
-    EXPECT_EQ(r.net_gathers, 0u);
-    EXPECT_EQ(r.shm_gather_bytes, 0u);
-    EXPECT_EQ(r.net_gather_bytes, 0u);
-    EXPECT_DOUBLE_EQ(r.gather_time_s, 0.0);
-  }
-}
-
-TEST(Darshan, ParsesLegacyV5LogsWithZeroCheckpointCounters) {
-  SharedFs fs(8);
-  populate_two_rank_job(fs);
-  FsClient(fs, 0).charge_cpu(1.5, fsim::OpTag::recovery);
-  auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
-  auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
-  const auto bytes = downgrade_log(log.serialize(), '5');
-
-  const DarshanLog back = DarshanLog::parse(bytes);
-  EXPECT_EQ(back.records.size(), log.records.size());
-  EXPECT_EQ(back.total_bytes_written(), log.total_bytes_written());
-  EXPECT_EQ(back.job.recoveries, 1u);  // v5 keeps the recovery counters
-  EXPECT_EQ(back.job.delta_epochs, 0u);
-  EXPECT_EQ(back.job.dedup_bytes_saved, 0u);
-  EXPECT_EQ(back.job.blocks_restored, 0u);
-  EXPECT_DOUBLE_EQ(back.job.t_restore_s, 0.0);
 }
 
 TEST(Darshan, FoldsCheckpointCpuTagsIntoJobCounters) {

@@ -1,4 +1,4 @@
-#include "compress/reference.hpp"
+#include "frozen/compress_reference.hpp"
 
 #include <algorithm>
 #include <cstring>

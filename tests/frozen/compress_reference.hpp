@@ -8,10 +8,11 @@
 //     hunt can always bisect "format bug" vs "speed bug";
 //   * bench baseline — bench/micro_codecs and the `perf` smoke test measure
 //     speedup relative to seed_blosc_compress(), the seed single-thread
-//     pipeline the ISSUE's ">= 3x at 4 threads" acceptance criterion names.
+//     pipeline.
 //
-// Nothing here is reachable from the production write path; do not optimise
-// these, that is the point.
+// They live outside every bitio library (target bitio_compress_reference,
+// linked only by tests and benches), so nothing here is reachable from the
+// production write path; do not optimise these, that is the point.
 
 #include "compress/codec.hpp"
 

@@ -12,7 +12,7 @@
 
 #include "compress/codec.hpp"
 #include "compress/parallel.hpp"
-#include "compress/reference.hpp"
+#include "frozen/compress_reference.hpp"
 #include "util/rng.hpp"
 
 namespace bitio {
